@@ -52,6 +52,7 @@ from .cgf import (
     g_hessian_quadform,
     g_value,
     in_Sinf,
+    in_domain,
     in_domain_D,
     lambda_pm,
     lineality_space,

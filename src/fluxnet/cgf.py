@@ -10,6 +10,7 @@ finite-horizon generating functions is actually finite.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from .solvers import (
     RiccatiSolution,
     hamiltonian,
     integrate_frequency,
+    on_axis,
     riccati_extrapolated,
     riccati_maximal,
     steady_covariance,
@@ -38,6 +40,7 @@ __all__ = [
     "LambdaPair",
     "E_matrix",
     "E_matrix_from_lift",
+    "in_domain",
     "in_domain_D",
     "domain_margin",
     "lineality_space",
@@ -55,8 +58,9 @@ __all__ = [
 #: number of coarse grid points on the transformed frequency half-axis
 DOMAIN_GRID = 129
 
-#: singular values below this fraction of the largest count as zero when
-#: extracting the lineality space
+#: singular values below this fraction of the largest one, or of the largest
+#: temperature if that is larger, count as zero when extracting the
+#: lineality space
 LINEALITY_RTOL = 1e-9
 
 #: three-way agreement tolerance for the cross-validated value of g
@@ -125,7 +129,8 @@ def domain_margin(model: LinearModel, xi: np.ndarray,
                   grid: int = DOMAIN_GRID) -> float:
     """Infimum over frequency of the smallest eigenvalue of ``I - E``.
 
-    Positive margin means the tilt lies in the open essential domain.  The
+    Positive margin means the tilt lies in the open essential domain.  This
+    is a diagnostic: membership itself is decided by :func:`in_domain`.  The
     search runs on a tangent-compactified grid over the certified window
     (the response is even in frequency up to conjugation) and refines every
     local minimum by bounded scalar minimization.
@@ -159,10 +164,22 @@ def domain_margin(model: LinearModel, xi: np.ndarray,
     return best
 
 
+def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
+    """Exact membership in the open essential domain.
+
+    By the determinant identity ``det(K - i omega) = |det(A + i omega)|^2
+    det(I - E(omega))`` and ``I - E(+-inf) = I``, the matrix ``I - E`` stays
+    positive definite at every frequency exactly when the doubled matrix
+    ``K`` of the tilt has no eigenvalue on the imaginary axis (the test
+    behind the Boyd-Balakrishnan-Kabamba bisection for the H-infinity norm).
+    """
+    ham = hamiltonian(model, xi)
+    return not on_axis(ham.K, ham.eigenvalues.real)
+
+
 def in_domain_D(model: LinearModel, xi: np.ndarray) -> tuple[bool, float]:
     """Membership in the open essential domain, with the located margin."""
-    margin = domain_margin(model, xi)
-    return margin > 0.0, margin
+    return in_domain(model, xi), domain_margin(model, xi)
 
 
 @dataclass(eq=False)
@@ -183,6 +200,9 @@ class DomainGeometry:
     frame: np.ndarray
     L_lifts: tuple[np.ndarray, ...]
     _radial: dict = field(default_factory=dict, repr=False)
+    #: held while the finite-region table cached in ``_radial`` is built, so
+    #: that threads sharing the geometry build it once
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def dim_L(self) -> int:
@@ -201,6 +221,13 @@ class DomainGeometry:
     def project(self, xi: np.ndarray) -> np.ndarray:
         return self.Pi @ np.asarray(xi, dtype=float)
 
+    def require_section(self) -> None:
+        """Raise unless some tilt direction is not conserved."""
+        if self.section_dim == 0:
+            raise SpecificationError(
+                "the flux section is zero-dimensional: every tilt direction is "
+                "conserved")
+
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(v)))
@@ -213,17 +240,17 @@ def _complete_orthonormal(seeds: list[np.ndarray], target: int,
     basis: list[np.ndarray] = []
     pool = list(seeds) + [constraint @ e for e in np.eye(d)]
     for v in pool:
+        if len(basis) == target:
+            break
         w = v.copy()
         for b in basis:
             w = w - (b @ w) * b
         norm = np.linalg.norm(w)
         if norm > 1e-10:
             basis.append(_sign_fix(w / norm))
-        if len(basis) == target:
-            break
     if len(basis) != target:
         raise NumericalError("failed to build an orthonormal frame")
-    return np.array(basis)
+    return np.array(basis).reshape(target, d)
 
 
 def lineality_space(model: LinearModel) -> DomainGeometry:
@@ -233,7 +260,9 @@ def lineality_space(model: LinearModel) -> DomainGeometry:
     frequency of bounded degree, so its vanishing for all frequencies is
     certified by stacking the response maps at ``4n + 2`` sample
     frequencies and extracting the common null space by singular value
-    threshold.
+    threshold.  The threshold is absolute, scaled to the model: with a
+    single reservoir the whole stack is round-off, and a cut relative to its
+    largest singular value would count that round-off as rank.
     """
     d, s = model.d, model.omega_scale
     freqs = np.concatenate([[0.0], np.geomspace(0.1 * s, 10.0 * s, 4 * model.n + 1)])
@@ -248,7 +277,8 @@ def lineality_space(model: LinearModel) -> DomainGeometry:
         rows.append(block)
     stacked = np.vstack(rows)
     U, svals, Vt = np.linalg.svd(stacked)
-    rank = int(np.sum(svals > LINEALITY_RTOL * svals[0])) if svals[0] > 0 else 0
+    cut = LINEALITY_RTOL * max(float(svals[0]), float(model.theta.max()))
+    rank = int(np.sum(svals > cut))
     null = Vt[rank:]
 
     ones = np.ones(d) / np.sqrt(d)
@@ -354,9 +384,9 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
     xi = np.asarray(xi, dtype=float)
     if method not in ("integral", "spectral", "riccati", "all"):
         raise SpecificationError(f"unknown method {method!r}")
+    in_D = in_domain(model, xi)
     margin = domain_margin(model, xi)
-    in_D = margin > 0.0
-    if margin < -1e-9:
+    if not in_D and margin < -1e-9:
         raise DomainError(
             f"outside essential domain closure (margin {margin:.2e})")
     if method == "integral" and not in_D:
@@ -507,21 +537,23 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
                      u: np.ndarray, tol: float = 1e-6) -> float:
     """Radius of the domain section from its center along a unit direction.
 
-    Bisection on domain membership with geometric bracket growth; convexity
-    of the domain guarantees a single crossing.
+    Bisection on the exact domain test :func:`in_domain` with geometric
+    bracket growth, down to a bracket of width ``tol``; convexity of the
+    domain guarantees a single crossing, so the returned midpoint lies
+    within ``tol / 2`` of it.
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise SpecificationError("direction must be a unit vector")
     if np.linalg.norm(geometry.L_basis @ u) > 1e-8:
         raise SpecificationError("direction must be orthogonal to the lineality space")
-    key = _radial_key(u)
+    key = (_radial_key(u), tol)
     cached = geometry._radial.get(key)
     if cached is not None:
         return cached
     center = geometry.center
     lo, hi = 0.0, 1.0
-    while in_domain_D(model, center + hi * u)[0]:
+    while in_domain(model, center + hi * u):
         lo = hi
         hi *= 2.0
         if hi > 1e6:
@@ -529,7 +561,7 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
                 "bracket exhaustion while searching the section boundary")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if in_domain_D(model, center + mid * u)[0]:
+        if in_domain(model, center + mid * u):
             lo = mid
         else:
             hi = mid
@@ -609,8 +641,8 @@ def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,
         if t <= 0.0:
             return True
         xi = t * u
-        ok, _ = in_domain_D(model, xi)
-        return ok and sinf_margin(model, geometry, xi, inward=-u) > 0.0
+        return (in_domain(model, xi)
+                and sinf_margin(model, geometry, xi, inward=-u) > 0.0)
 
     lo, hi = 0.0, 0.5
     if bracket_hint is not None and bracket_hint > 0.0:

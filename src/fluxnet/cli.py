@@ -33,7 +33,12 @@ from .cgf import (
     section_inf_boundary,
 )
 from .errors import FluxnetError, SpecificationError
-from .ldp import condition_R_scan, entropy_production, rate_function
+from .ldp import (
+    _scan_directions,
+    condition_R_scan,
+    entropy_production,
+    rate_function,
+)
 from .network import LinearModel, assemble_model, kalman_controllable, load_spec
 from .simulate import SimConfig, cross_accumulator_ratio, empirical_cgf
 
@@ -173,7 +178,7 @@ def cmd_validate(args) -> int:
 def cmd_gap_scan(args) -> int:
     manifest = Manifest("gap-scan", args.spec, dirs=args.dirs, tol=args.tol)
     model, geometry = _load(args)
-    scan = condition_R_scan(model, geometry, args.dirs)
+    scan = condition_R_scan(model, geometry, args.dirs, tol=args.tol)
     k = geometry.section_dim
     if k == 2:
         polar_cols = ["angle"]
@@ -211,6 +216,7 @@ def cmd_rate(args) -> int:
     manifest = Manifest("rate", args.spec, grid=args.grid, extent=args.extent,
                         tol=args.tol)
     model, geometry = _load(args)
+    geometry.require_section()
     coords = _phi_grid(model, geometry, args.grid, args.extent)
     threads = _threads(args)
 
@@ -258,16 +264,12 @@ def cmd_cgf(args) -> int:
             raise SpecificationError(f"--xi needs {model.d} components")
         rows.append(row_for(xi))
     else:
+        geometry.require_section()
         fracs = [(j + 1.0) / (args.radii + 1.0) for j in range(args.radii)]
-        if geometry.section_dim == 2:
-            dirs = [np.array([np.cos(a), np.sin(a)])
-                    for a in 2.0 * np.pi * np.arange(args.dirs) / args.dirs]
-        else:
-            dirs = [row for row in np.eye(geometry.section_dim)]
-            dirs += [-row for row in np.eye(geometry.section_dim)]
+        dirs, _ = _scan_directions(geometry.section_dim, args.dirs)
         for idx, dc in enumerate(dirs):
             u = geometry.from_frame(dc)
-            r = section_boundary(model, geometry, u)
+            r = section_boundary(model, geometry, u, args.tol)
             for frac in fracs:
                 rows.append(row_for(geometry.center + frac * r * u, idx, frac))
     _emit(args, manifest, columns, rows)
@@ -276,6 +278,7 @@ def cmd_cgf(args) -> int:
 
 def _default_tilts(model: LinearModel, geometry: DomainGeometry) -> list[np.ndarray]:
     """Five small tilts inside the validity window of the estimator."""
+    geometry.require_section()
     lam0 = lambda_pm(model, np.zeros(model.d))
     dist = np.sqrt(model.d) * min(-lam0.minus, lam0.plus)
     for u in (geometry.frame[0], -geometry.frame[0]):
@@ -352,36 +355,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonic networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    unused_tol = "not used by this subcommand; only recorded in the manifest"
+    unused_threads = "not used by this subcommand"
+
+    def common(p, tol_help=unused_tol, threads_help=unused_threads):
         p.add_argument("spec", help="network description file (JSON)")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of CSV")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="boundary bisection tolerance")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: FLUXNET_THREADS or 1)")
+        p.add_argument("--tol", type=float, default=1e-6, help=tol_help)
+        p.add_argument("--threads", type=int, default=None, help=threads_help)
+
+    section_tol = ("width to which the bisection of each section radius is "
+                   "carried; the reported radius lies within tol/2 of the "
+                   "domain boundary (default 1e-6)")
 
     p = sub.add_parser("validate", help="check a network description")
     common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gap-scan", help="spectral gap on the section boundary")
-    common(p)
+    common(p, tol_help=section_tol)
     p.add_argument("--dirs", type=int, default=64, help="scan directions")
     p.set_defaults(func=cmd_gap_scan)
 
     p = sub.add_parser("rate", help="rate function and anomaly on a flux grid")
-    common(p)
+    common(p, threads_help="worker threads over the grid points; they share "
+                           "one build of the finite-region boundary table "
+                           "(default: FLUXNET_THREADS or 1)")
     p.add_argument("--grid", type=int, default=5, help="grid points per axis")
     p.add_argument("--extent", type=float, default=None,
                    help="grid half-width (default: 3 |mean flux|)")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("cgf", help="cumulant generating function scan")
-    common(p)
+    common(p, tol_help=section_tol)
     p.add_argument("--xi", help="single tilt, comma separated components")
-    p.add_argument("--dirs", type=int, default=16, help="section directions")
+    p.add_argument("--dirs", type=int, default=16,
+                   help="section directions (the same directions as gap-scan)")
     p.add_argument("--radii", type=int, default=5, help="radii per direction")
     p.set_defaults(func=cmd_cgf)
 

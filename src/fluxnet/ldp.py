@@ -17,8 +17,8 @@ import scipy.optimize
 
 from .cgf import (
     DomainGeometry,
-    domain_margin,
     g_gradient,
+    in_domain,
     lambda_pm,
     section_boundary,
     section_inf_boundary,
@@ -46,6 +46,12 @@ SHRINK = 0.5
 
 #: iteration budget of the damped Newton ascent
 MAX_NEWTON = 200
+
+#: accepted steps in a row that gain no more than rounding, after which an
+#: ascent whose gradient is below its stall tolerance counts as converged;
+#: a single such step is often followed by steps that still reduce the
+#: gradient
+STALL_STEPS = 5
 
 
 @dataclass(eq=False)
@@ -79,7 +85,7 @@ def _g_riccati_fast(model: LinearModel, xi: np.ndarray) -> float:
 
 def _feasible(model: LinearModel, geometry: DomainGeometry,
               xi: np.ndarray) -> bool:
-    if domain_margin(model, xi) <= 0.0:
+    if not in_domain(model, xi):
         return False
     try:
         return sinf_margin(model, geometry, xi) > 0.0
@@ -208,10 +214,13 @@ def _boundary_point(model: LinearModel, geometry: DomainGeometry,
 
 def _boundary_table(model: LinearModel,
                     geometry: DomainGeometry) -> _BoundaryTable:
-    table = geometry._radial.get("sinf_table")
-    if table is None:
-        table = _BoundaryTable(model, geometry)
-        geometry._radial["sinf_table"] = table
+    # threads sharing a geometry wait for one build instead of each
+    # building their own
+    with geometry._lock:
+        table = geometry._radial.get("sinf_table")
+        if table is None:
+            table = _BoundaryTable(model, geometry)
+            geometry._radial["sinf_table"] = table
     return table
 
 
@@ -276,10 +285,12 @@ def rate_function(model: LinearModel, geometry: DomainGeometry,
     Raises
     ------
     SpecificationError
-        If ``phi`` has a component along the lineality space.
+        If ``phi`` has a component along the lineality space, or the flux
+        section is zero-dimensional.
     ConvergenceError
         If the iteration budget is exhausted away from any boundary.
     """
+    geometry.require_section()
     phi = np.asarray(phi, dtype=float)
     if np.linalg.norm(phi - geometry.project(phi)) > 1e-8 * (1.0 + np.linalg.norm(phi)):
         raise SpecificationError("flux vector must be orthogonal to the lineality space")
@@ -313,6 +324,7 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
     grad = grad_at(c)
     boundary = False
     converged = False
+    stalled = 0
     iterations = 0
     for iterations in range(1, MAX_NEWTON + 1):
         if np.linalg.norm(grad) <= tol:
@@ -343,25 +355,30 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
             except np.linalg.LinAlgError:
                 pass
         t = 1.0
-        moved = False
+        gain = None
         for _ in range(40):
             trial = c + t * delta
             if _feasible(model, geometry, geometry.from_frame(trial)):
                 f_trial = float(trial @ phi_c) - _g_riccati_fast(
                     model, geometry.from_frame(trial))
                 if f_trial >= f_c + ARMIJO * t * float(delta @ grad) - noise:
+                    gain = f_trial - f_c
                     c, f_c = trial, f_trial
                     grad = grad_at(c)
-                    moved = True
                     break
             t *= SHRINK
-        if not moved:
+        if gain is None:
             if np.linalg.norm(grad) <= stall_tol:
                 # stationary to floating precision: interior optimum
                 converged = True
             else:
                 # step pinned at the feasibility boundary with ascent left
                 boundary = True
+            break
+        stalled = stalled + 1 if gain <= noise else 0
+        if stalled >= STALL_STEPS and np.linalg.norm(grad) <= stall_tol:
+            # the steps gain nothing above rounding: interior optimum
+            converged = True
             break
     if not converged and not boundary:
         raise ConvergenceError(
@@ -430,14 +447,16 @@ def _scan_directions(k: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def condition_R_scan(model: LinearModel, geometry: DomainGeometry,
-                     n_dirs: int = 64) -> GapScan:
+                     n_dirs: int = 64, tol: float = 1e-6) -> GapScan:
     """Sample the section boundary and evaluate the spectral gap there.
 
     The sufficient condition for the global LDP holds iff the minimal gap
     over the boundary is positive.  Boundary tilts are reached by
     ray-shooting from the projected symmetry center; the Riccati solutions
-    there are obtained by inward extrapolation.
+    there are obtained by inward extrapolation.  ``tol`` is the bisection
+    tolerance of each section radius (see ``section_boundary``).
     """
+    geometry.require_section()
     if n_dirs < 8:
         raise SpecificationError("need at least 8 scan directions")
     k = geometry.section_dim
@@ -448,7 +467,7 @@ def condition_R_scan(model: LinearModel, geometry: DomainGeometry,
     lam_p = np.empty(len(dirs))
     for idx, dc in enumerate(dirs):
         u = geometry.from_frame(dc)
-        r = section_boundary(model, geometry, u)
+        r = section_boundary(model, geometry, u, tol)
         xi = geometry.center + r * u
         lam = lambda_pm(model, xi, inward=-u)
         xi_b[idx] = xi

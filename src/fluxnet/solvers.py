@@ -32,15 +32,13 @@ __all__ = [
     "riccati_extrapolated",
     "matrix_exponential",
     "integrate_frequency",
-    "cluster_multiplicities",
+    "on_axis",
 ]
 
-#: eigenvalues of the Hamiltonian matrix closer than this to the imaginary
-#: axis are treated as sitting on it
-AXIS_TOL = 1e-9
-
-#: absolute clustering width used when grouping repeated eigenvalues
-CLUSTER_TOL = 1e-7
+#: an eigenvalue of the doubled matrix ``K`` whose real part is at most this
+#: share of ``||K||_2`` in absolute value counts as lying on the imaginary
+#: axis
+AXIS_RTOL = 1e-8
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
@@ -85,24 +83,14 @@ def steady_covariance(model: LinearModel) -> SteadyState:
     return solve_lyapunov(model.A, model.B)
 
 
-def cluster_multiplicities(values: np.ndarray,
-                           tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Group a list of eigenvalues into clusters of width ``tol``.
-
-    Returns representative/multiplicity pairs; representatives are cluster
-    means.  Exact Jordan data is not needed downstream, only the counts.
-    """
-    remaining = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters: list[tuple[complex, int]] = []
-    current = [remaining[0]]
-    for z in remaining[1:]:
-        if abs(z - current[-1]) <= tol:
-            current.append(z)
-        else:
-            clusters.append((complex(np.mean(current)), len(current)))
-            current = [z]
-    clusters.append((complex(np.mean(current)), len(current)))
-    return clusters
+def on_axis(K: np.ndarray, real_parts: np.ndarray) -> bool:
+    """Whether an eigenvalue of ``K``, given by the real parts of the
+    spectrum, lies on the imaginary axis in the sense of ``AXIS_RTOL``."""
+    min_re = float(np.abs(real_parts).min())
+    # ||K||_2 <= ||K||_F, so the SVD is needed only when the cheap bound
+    # does not decide
+    return (min_re <= AXIS_RTOL * np.linalg.norm(K)
+            and min_re <= AXIS_RTOL * np.linalg.norm(K, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +102,6 @@ class HamiltonianData:
     C_xi: np.ndarray
     K: np.ndarray
     eigenvalues: np.ndarray
-    multiplicities: list[tuple[complex, int]]
 
 
 def tilted_blocks(model: LinearModel, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,19 +113,24 @@ def tilted_blocks(model: LinearModel, xi: np.ndarray) -> tuple[np.ndarray, np.nd
     return A_xi, _sym(C_xi)
 
 
-def hamiltonian(model: LinearModel, xi: np.ndarray) -> HamiltonianData:
-    """Assemble the doubled matrix of a tilt and compute its spectrum.
-
-    The spectrum is symmetric with respect to both the real and the
-    imaginary axis; multiplicities are obtained by clustering.
-    """
-    A_xi, C_xi = tilted_blocks(model, xi)
+def _doubled(model: LinearModel, A_xi: np.ndarray, C_xi: np.ndarray) -> np.ndarray:
     m = model.dim
     K = np.zeros((2 * m, 2 * m))
     K[:m, :m] = -A_xi
     K[:m, m:] = model.B
     K[m:, :m] = C_xi
     K[m:, m:] = A_xi.T
+    return K
+
+
+def hamiltonian(model: LinearModel, xi: np.ndarray) -> HamiltonianData:
+    """Assemble the doubled matrix of a tilt and compute its spectrum.
+
+    The spectrum is symmetric with respect to both the real and the
+    imaginary axis.
+    """
+    A_xi, C_xi = tilted_blocks(model, xi)
+    K = _doubled(model, A_xi, C_xi)
     try:
         eigs = np.linalg.eigvals(K)
     except np.linalg.LinAlgError as exc:
@@ -149,7 +141,6 @@ def hamiltonian(model: LinearModel, xi: np.ndarray) -> HamiltonianData:
         C_xi=C_xi,
         K=K,
         eigenvalues=eigs,
-        multiplicities=cluster_multiplicities(eigs),
     )
 
 
@@ -171,21 +162,21 @@ class RiccatiSolution:
     gap: np.ndarray | None = None
 
 
-def _riccati_residual(model: LinearModel, xi: np.ndarray, X: np.ndarray) -> float:
-    A_xi, C_xi = tilted_blocks(model, xi)
+def _riccati_residual(model: LinearModel, A_xi: np.ndarray, C_xi: np.ndarray,
+                      X: np.ndarray) -> float:
     R = X @ model.B @ X - X @ A_xi - A_xi.T @ X - C_xi
     return float(np.linalg.norm(R, 2))
 
 
-def riccati_maximal(model: LinearModel, xi: np.ndarray,
-                    axis_tol: float = AXIS_TOL) -> RiccatiSolution:
+def riccati_maximal(model: LinearModel, xi: np.ndarray) -> RiccatiSolution:
     """Maximal self-adjoint Riccati solution for a tilt inside the domain.
 
     The solution is read off an ordered real Schur form of the doubled
-    matrix: the invariant subspace of the eigenvalues with real part above
-    ``axis_tol`` is a graph ``Ran [I; X]`` over the first block, and the
-    closed loop ``A_xi - B X`` then carries the mirrored (stable) half of
-    the spectrum.
+    matrix: the invariant subspace of the eigenvalues with positive real
+    part is a graph ``Ran [I; X]`` over the first block, and the closed loop
+    ``A_xi - B X`` then carries the mirrored (stable) half of the spectrum.
+    The diagonal of the standardized Schur form holds the real parts of the
+    eigenvalues, which are checked with :func:`on_axis`.
 
     Raises
     ------
@@ -193,17 +184,18 @@ def riccati_maximal(model: LinearModel, xi: np.ndarray,
         If eigenvalues sit on the imaginary axis (tilt on or outside the
         domain boundary) or the graph condition fails.
     """
-    ham = hamiltonian(model, xi)
+    A_xi, C_xi = tilted_blocks(model, xi)
+    K = _doubled(model, A_xi, C_xi)
     m = model.dim
-    min_re = np.abs(ham.eigenvalues.real).min()
-    if min_re <= axis_tol:
-        raise RiccatiError(
-            f"doubled matrix has imaginary-axis eigenvalues (|Re| = {min_re:.2e}); "
-            "tilt is on or outside the domain boundary")
     try:
-        _, Z, sdim = sla.schur(ham.K, output="real", sort=lambda re, im: re > 0.0)
+        T, Z, sdim = sla.schur(K, output="real", sort=lambda re, im: re > 0.0)
     except sla.LinAlgError as exc:
         raise RiccatiError(f"ordered Schur factorization failed: {exc}") from exc
+    if on_axis(K, np.diag(T)):
+        raise RiccatiError(
+            "doubled matrix has imaginary-axis eigenvalues "
+            f"(|Re| = {np.abs(np.diag(T)).min():.2e}); "
+            "tilt is on or outside the domain boundary")
     if sdim != m:
         raise RiccatiError(
             f"antistable subspace has dimension {sdim}, expected {m}")
@@ -215,13 +207,12 @@ def riccati_maximal(model: LinearModel, xi: np.ndarray,
         raise RiccatiError(
             f"graph condition failed (smallest singular value {graph_sigma_min:.2e})")
     X = _sym(np.linalg.solve(V1.T, V2.T).T)
-    A_xi, _ = tilted_blocks(model, xi)
     D = A_xi - model.B @ X
     return RiccatiSolution(
         xi=np.asarray(xi, dtype=float),
         X=X,
         D=D,
-        residual=_riccati_residual(model, xi, X),
+        residual=_riccati_residual(model, A_xi, C_xi, X),
         graph_sigma_min=graph_sigma_min,
     )
 
@@ -270,12 +261,12 @@ def riccati_extrapolated(model: LinearModel, xi: np.ndarray,
     stack = np.array(samples).reshape(len(good), -1)
     coef, *_ = np.linalg.lstsq(design, stack, rcond=None)
     X = _sym(coef[0].reshape(model.dim, model.dim))
-    A_xi, _ = tilted_blocks(model, xi)
+    A_xi, C_xi = tilted_blocks(model, xi)
     return RiccatiSolution(
         xi=xi,
         X=X,
         D=A_xi - model.B @ X,
-        residual=_riccati_residual(model, xi, X),
+        residual=_riccati_residual(model, A_xi, C_xi, X),
         graph_sigma_min=np.nan,
     )
 

@@ -1,18 +1,23 @@
 """Cumulant generating function, domain geometry and section machinery."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fluxnet import (
     DomainError,
+    assemble_model,
     canonical_lift,
     g_gradient,
     g_hessian_quadform,
     g_value,
     in_Sinf,
+    in_domain,
     in_domain_D,
     lambda_pm,
     lineality_space,
+    load_spec,
     section_boundary,
     section_inf_boundary,
     steady_covariance,
@@ -20,6 +25,8 @@ from fluxnet import (
 from fluxnet.cgf import E_matrix, E_matrix_from_lift, domain_margin, sinf_margin
 
 from conftest import random_tilt_in_D0
+
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 
 
 class TestResponseMatrix:
@@ -81,8 +88,38 @@ class TestDomain:
         ok, margin = in_domain_D(lozenge_124, geom.center + 10.0 * r * u)
         assert not ok and margin < 0.0
 
+    @pytest.mark.parametrize("name", [
+        "lozenge_eq", "lozenge_1_2_4", "lozenge_1_2_64", "triangular_eq",
+        "triangular_1_2_64", "heatpump_10_3.6_7_6.8", "heatpump_40_3.6_7_6.8"])
+    def test_spectral_verdict_matches_margin(self, name):
+        # the exact test must agree with the sampled frequency minimization
+        # wherever the latter is unambiguous
+        model = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+        geom = lineality_space(model)
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for _ in range(24):
+            # around the section boundary, shifted along conserved directions
+            dc = rng.normal(size=geom.section_dim)
+            u = geom.from_frame(dc / np.linalg.norm(dc))
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, -0.5)
+            r = section_boundary(model, geom, u, tol=1e-9) * (1.0 + offset)
+            xi = geom.center + r * u + rng.normal(size=geom.dim_L) @ geom.L_basis
+            margin = domain_margin(model, xi)
+            if abs(margin) < 1e-6:
+                continue
+            assert in_domain(model, xi) == (margin > 0.0), (xi, margin)
+            verdicts.append(margin > 0.0)
+        assert any(verdicts) and not all(verdicts)
+
 
 class TestLineality:
+    def test_single_reservoir_has_empty_section(self, single_oscillator):
+        # the stacked response is all round-off; none of it counts as rank
+        geom = lineality_space(single_oscillator)
+        assert geom.dim_L == 1 and geom.section_dim == 0
+        assert geom.frame.shape == (0, 1)
+
     def test_ones_direction(self, lozenge_124_geometry, heatpump_geometry):
         for geom in (lozenge_124_geometry, heatpump_geometry):
             ones = np.ones(geom.L_basis.shape[1])

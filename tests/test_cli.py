@@ -144,6 +144,72 @@ class TestCgf:
         rows = data_section(out)
         assert len(rows) == 1 + 8 * 2
 
+    def test_dirs_on_three_dimensional_section(self, capsys):
+        counts = []
+        for dirs in ("2", "4"):
+            code, out, _ = run_cli(
+                ["cgf", str(CONFIGS / "heatpump_10_3.6_7_6.8.json"),
+                 "--dirs", dirs, "--radii", "1"], capsys)
+            assert code == 0
+            counts.append(len(data_section(out)) - 1)
+        assert counts == [2, 4]
+
+
+def _tilt_columns(text):
+    rows = data_section(text)
+    header = rows[0].split(",")
+    cols = [j for j, name in enumerate(header) if name.startswith("xi_")]
+    return np.array([[float(r.split(",")[j]) for j in cols] for r in rows[1:]])
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("command", [
+        ["gap-scan", "--dirs", "8"], ["cgf", "--dirs", "4", "--radii", "1"]])
+    def test_coarse_tol_moves_radius_within_tol(self, command, capsys):
+        spec = str(CONFIGS / "lozenge_1_2_4.json")
+        code, fine, _ = run_cli([command[0], spec, *command[1:]], capsys)
+        assert code == 0
+        code, coarse, _ = run_cli(
+            [command[0], spec, *command[1:], "--tol", "1e-3"], capsys)
+        assert code == 0
+        # the rows are center + (fraction of the radius) * unit direction
+        shift = np.linalg.norm(_tilt_columns(coarse) - _tilt_columns(fine),
+                               axis=1)
+        assert 0.0 < shift.max() <= 1e-3
+
+
+class TestSingleReservoir:
+    """Every subcommand answers or exits with a typed error on d = 1."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({
+            "oscillators": ["o1"],
+            "kappa_sq": [[1.0]],
+            "boundary": [{"id": "o1", "gamma": 1.0, "theta": 1.0}],
+        }))
+        return str(path)
+
+    def test_validate_answers(self, spec, capsys):
+        code, out, _ = run_cli(["validate", spec], capsys)
+        assert code == 0
+        assert "dim lineality space: 1" in out
+
+    def test_single_tilt_answers(self, spec, capsys):
+        code, out, _ = run_cli(["cgf", spec, "--xi", "0.3"], capsys)
+        assert code == 0
+        assert len(data_section(out)) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["gap-scan"], ["rate"], ["cgf"],
+        ["simulate", "--traj", "16", "--T", "1"]])
+    def test_sectionless_commands_exit_2(self, spec, command, capsys):
+        code, out, err = run_cli([command[0], spec, *command[1:]], capsys)
+        assert code == 2
+        assert "flux section is zero-dimensional" in err
+        assert out == ""
+
 
 class TestRate:
     def test_grid_contains_zero_at_mean(self, capsys):

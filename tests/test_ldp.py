@@ -1,10 +1,15 @@
 """Rate function, fluctuation-relation diagnostics, entropy production."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from fluxnet import (
     SpecificationError,
+    assemble_model,
     condition_R_scan,
     conserved_direction,
     conserved_rate,
@@ -12,11 +17,27 @@ from fluxnet import (
     fr_defect,
     g_gradient,
     g_value,
+    lineality_space,
+    parse_spec,
     rate_function,
     steady_covariance,
 )
+from fluxnet import ldp
 
 from conftest import gap_arc_probe
+
+
+def dimer_1_64():
+    """Two coupled oscillators, each at its own reservoir, at 1:64."""
+    doc = {
+        "oscillators": ["o1", "o2"],
+        "kappa_sq": [[1.0, -0.3], [-0.3, 1.0]],
+        "boundary": [{"id": "o1", "gamma": 1.0, "theta": 1.0},
+                     {"id": "o2", "gamma": 1.0, "theta": 64.0}],
+        "temperature_ratios": True,
+    }
+    model = assemble_model(parse_spec(doc))
+    return model, lineality_space(model)
 
 
 class TestEntropyProduction:
@@ -114,6 +135,55 @@ class TestRateFunction:
             predicted = float(xi_b @ (phi0 + lam * eta)) - g_b
             assert not shifted.interior
             assert abs(shifted.I_value - predicted) < 1e-5 * (1 + abs(predicted))
+
+
+    def test_stalled_ascent_converges(self):
+        # at this flux the gradient residual falls below the stall threshold
+        # while the line search still accepts steps that gain nothing above
+        # rounding; the ascent used to exhaust its iteration budget there
+        m, geom = dimer_1_64()
+        mean = entropy_production(m).mean_flux
+        phi = geom.from_frame(geom.to_frame(mean) - 5.0)
+        res = rate_function(m, geom, phi, with_anomaly=False)
+        assert res.interior and res.iterations < ldp.MAX_NEWTON
+        g_star = g_value(m, res.xi_star, method="riccati",
+                         with_domain_data=False).g
+        assert abs(res.I_value - (float(res.xi_star @ phi) - g_star)) < 1e-9
+        assert np.linalg.norm(g_gradient(m, res.xi_star) - phi) < 1e-4
+
+    def test_threads_share_one_boundary_table(self, monkeypatch):
+        m, geom = dimer_1_64()
+        builds = []
+
+        class SlowTable(ldp._BoundaryTable):
+            def __init__(self, model, geometry):
+                builds.append(threading.get_ident())
+                time.sleep(0.2)  # keep the second caller inside the build
+                super().__init__(model, geometry)
+
+        monkeypatch.setattr(ldp, "_BoundaryTable", SlowTable)
+        mean = entropy_production(m).mean_flux
+        phi = geom.from_frame(geom.to_frame(mean) * -6.0)
+        results = [None] * 4
+
+        def solve(j):
+            results[j] = rate_function(m, geom, phi, with_anomaly=False)
+
+        workers = [threading.Thread(target=solve, args=(j,))
+                   for j in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(builds) == 1
+        assert all(r is not None and not r.interior for r in results)
+        assert len({r.I_value for r in results}) == 1
 
 
 class TestFrDefect:

@@ -23,7 +23,7 @@ from fluxnet import (
     steady_covariance,
 )
 from fluxnet.cgf import E_matrix
-from fluxnet.solvers import cluster_multiplicities, tilted_blocks
+from fluxnet.solvers import tilted_blocks
 
 from conftest import lozenge_doc, random_network_doc, random_tilt_in_D0
 
@@ -91,12 +91,6 @@ class TestHamiltonian:
                 rhs = (abs(np.linalg.det(m.A + 1j * w * eye)) ** 2
                        * np.linalg.det(np.eye(m.d) - E_matrix(m, xi, w)))
                 assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
-
-    def test_cluster_multiplicities(self):
-        vals = np.array([1.0, 1.0 + 5e-8, 2.0, 2.0 + 1j, 2.0 + 1j])
-        clusters = cluster_multiplicities(vals, tol=1e-7)
-        counts = sorted(m for _, m in clusters)
-        assert counts == [1, 2, 2]
 
 
 class TestRiccati:
