@@ -10,8 +10,8 @@ finite-horizon generating functions is actually finite.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -23,7 +23,13 @@ from .errors import (
     RiccatiError,
     SpecificationError,
 )
-from .network import LinearModel, TiltLift, canonical_lift, commuting_lift
+from .network import (
+    LinearModel,
+    TiltLift,
+    canonical_lift,
+    commuting_lift,
+    flux_density_stack,
+)
 from .solvers import (
     RiccatiSolution,
     hamiltonian,
@@ -36,6 +42,7 @@ from .solvers import (
 
 __all__ = [
     "DomainGeometry",
+    "TiltState",
     "CGFResult",
     "LambdaPair",
     "E_matrix",
@@ -48,7 +55,6 @@ __all__ = [
     "g_gradient",
     "g_hessian_quadform",
     "lambda_pm",
-    "gap_pair",
     "section_boundary",
     "sinf_margin",
     "in_Sinf",
@@ -200,9 +206,6 @@ class DomainGeometry:
     frame: np.ndarray
     L_lifts: tuple[np.ndarray, ...]
     _radial: dict = field(default_factory=dict, repr=False)
-    #: held while the finite-region table cached in ``_radial`` is built, so
-    #: that threads sharing the geometry build it once
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def dim_L(self) -> int:
@@ -322,25 +325,120 @@ def _g_spectral(model: LinearModel, xi: np.ndarray) -> float:
     return base - 0.25 * float(np.abs(ham.eigenvalues.real).sum())
 
 
-def _g_riccati(model: LinearModel, xi: np.ndarray,
-               sol: RiccatiSolution | None = None,
-               inward: np.ndarray | None = None) -> float:
-    if sol is None:
-        sol = _riccati_any(model, xi, inward)
-    lift = canonical_lift(model, xi)
-    return -0.5 * float(np.trace(model.Q.T @ (sol.X - lift.xi_tilde) @ model.Q))
+@dataclass(frozen=True, eq=False)
+class LambdaPair:
+    """Extremal Riccati eigenvalue functionals bounding the finite region."""
+
+    minus: float
+    plus: float
+
+    @property
+    def in_Dinf(self) -> bool:
+        return self.minus < 0.0 < self.plus
+
+    @property
+    def gap(self) -> float:
+        return self.plus - self.minus
 
 
-def _riccati_any(model: LinearModel, xi: np.ndarray,
-                 inward: np.ndarray | None = None) -> RiccatiSolution:
-    try:
-        return riccati_maximal(model, xi)
-    except RiccatiError:
-        if inward is None:
-            inward = 0.5 * model.theta_inv - np.asarray(xi, dtype=float)
-            if np.linalg.norm(inward) < 1e-12:
-                raise
-        return riccati_extrapolated(model, xi, inward)
+class TiltState:
+    """Maximal Riccati solutions ``sol`` at a tilt and ``dual`` at its mirror
+    ``theta^{-1} - xi``, and everything derived from this one pair.
+
+    Each quantity is computed on first read and kept, so a caller that
+    builds one state per tilt solves each Riccati equation once.  Where the
+    ordered Schur form fails (a tilt on the domain boundary) the solution
+    is extrapolated along ``inward`` (default: toward the symmetry center
+    ``theta^{-1} / 2``); the mirror uses the opposite direction.
+    """
+
+    def __init__(self, model: LinearModel, xi: np.ndarray,
+                 inward: np.ndarray | None = None):
+        self.model = model
+        self.xi = np.asarray(xi, dtype=float)
+        self.inward = (0.5 * model.theta_inv - self.xi if inward is None
+                       else np.asarray(inward, dtype=float))
+
+    def _solve(self, xi: np.ndarray, inward: np.ndarray) -> RiccatiSolution:
+        try:
+            return riccati_maximal(self.model, xi)
+        except RiccatiError:
+            return riccati_extrapolated(self.model, xi, inward)
+
+    @cached_property
+    def sol(self) -> RiccatiSolution:
+        return self._solve(self.xi, self.inward)
+
+    @cached_property
+    def dual(self) -> RiccatiSolution:
+        return self._solve(self.model.theta_inv - self.xi, -self.inward)
+
+    @cached_property
+    def g(self) -> float:
+        """g by the Riccati trace formula, on the canonical lift."""
+        lift = canonical_lift(self.model, self.xi)
+        Q = self.model.Q
+        return -0.5 * float(np.trace(Q.T @ (self.sol.X - lift.xi_tilde) @ Q))
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        """Gap between the maximal solution and the minimal one."""
+        return self.sol.X + self.model.theta_conj(self.dual.X)
+
+    @cached_property
+    def _Y_inv(self) -> np.ndarray:
+        w, U = np.linalg.eigh(self.Y)
+        if w[0] <= 1e-12 * max(w[-1], 1.0):
+            raise NumericalError(
+                f"gap matrix numerically singular (min eigenvalue {w[0]:.2e})")
+        return (U / w) @ U.T
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """Gradient of g: component ``i`` is ``tr(Sigma_i Y^{-1}) / 2``."""
+        return 0.5 * np.einsum("dij,ij->d", flux_density_stack(self.model),
+                               self._Y_inv)
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """Maximal solution plus the inverse stationary covariance (see
+        :func:`lambda_pm`)."""
+        return self.sol.X + steady_covariance(self.model).Minv
+
+    @cached_property
+    def lambdas(self) -> LambdaPair:
+        return LambdaPair(minus=-float(np.linalg.eigvalsh(self.lower)[0]),
+                          plus=float(np.linalg.eigvalsh(self.dual.X)[0]))
+
+    def sinf_margin(self, geometry: DomainGeometry) -> float:
+        """Finite-region margin of the tilt (see :func:`sinf_margin`)."""
+        if geometry.dim_L == 1:
+            return self.lambdas.gap
+        return _shift_ascent(geometry.L_lifts,
+                             [(self.dual.X, -1.0), (self.lower, 1.0)])
+
+    def hessian(self, frame: np.ndarray) -> np.ndarray:
+        """Hessian of g in the directions of the rows of ``frame``.
+
+        A tilt move ``u`` moves the Riccati blocks by ``A' = Q u Q*`` and
+        ``C' = Q u (theta^{-1} - 2 xi) Q*`` (the mirror's by ``-A'``, ``C'``);
+        with the sensitivities ``Y'_u`` of the gap,
+        ``H_uv = -tr(Sigma_u Y^{-1} Y'_v Y^{-1}) / 2``.
+        """
+        frame = np.atleast_2d(np.asarray(frame, dtype=float))
+        model, Q = self.model, self.model.Q
+        slope = model.theta_inv - 2.0 * self.xi
+        Y_inv = self._Y_inv
+        moves = []
+        for u in frame:
+            A_u = (Q * u[None, :]) @ Q.T
+            C_u = (Q * (u * slope)[None, :]) @ Q.T
+            dY = (self.sol.sensitivity(A_u, C_u)
+                  + model.theta_conj(self.dual.sensitivity(-A_u, C_u)))
+            moves.append(Y_inv @ dY @ Y_inv)
+        sigmas = np.einsum("kd,dij->kij", frame, flux_density_stack(model))
+        H = -0.5 * np.einsum("aij,bij->ab", sigmas, np.array(moves))
+        return 0.5 * (H + H.T)
 
 
 @dataclass(eq=False)
@@ -392,13 +490,14 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
     if method == "integral" and not in_D:
         raise DomainError("integral route requires the open domain")
 
+    state = TiltState(model, xi)
     gi = gs = gr = None
     if method in ("integral", "all") and in_D:
         gi = _g_integral(model, xi)
     if method in ("spectral", "all"):
         gs = _g_spectral(model, xi)
     if method in ("riccati", "all"):
-        gr = _g_riccati(model, xi)
+        gr = state.g
 
     if method == "all":
         values = [v for v in (gi, gs, gr) if v is not None]
@@ -412,8 +511,8 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
     grad = None
     lam = None
     if in_D and with_domain_data:
-        grad = g_gradient(model, xi)
-        lam = lambda_pm(model, xi)
+        grad = state.grad
+        lam = state.lambdas
     return CGFResult(
         xi=xi, g_integral=gi, g_spectral=gs, g_riccati=gr, grad=grad,
         in_D=in_D, margin=margin,
@@ -421,23 +520,6 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
         Lambda_minus=None if lam is None else lam.minus,
         Lambda_plus=None if lam is None else lam.plus,
     )
-
-
-def _sigma_basis(model: LinearModel) -> np.ndarray:
-    sigmas = np.empty((model.d, model.dim, model.dim))
-    for j in range(model.d):
-        sigmas[j] = canonical_lift(model, np.eye(model.d)[j]).sigma
-    return sigmas
-
-
-def gap_pair(model: LinearModel, xi: np.ndarray,
-             inward: np.ndarray | None = None) -> tuple[RiccatiSolution, RiccatiSolution]:
-    """Maximal solutions at a tilt and its mirror, with the gap attached."""
-    sol = _riccati_any(model, xi, inward)
-    dual = _riccati_any(model, model.theta_inv - np.asarray(xi, dtype=float),
-                        None if inward is None else -np.asarray(inward, dtype=float))
-    Y = sol.X + model.theta_conj(dual.X)
-    return replace(sol, gap=Y), dual
 
 
 def g_gradient(model: LinearModel, xi: np.ndarray) -> np.ndarray:
@@ -453,14 +535,7 @@ def g_gradient(model: LinearModel, xi: np.ndarray) -> np.ndarray:
         If the gap matrix is numerically singular (tilt too close to the
         domain boundary).
     """
-    sol, _ = gap_pair(model, xi)
-    w, U = np.linalg.eigh(sol.gap)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
-        raise NumericalError(
-            f"gap matrix numerically singular (min eigenvalue {w[0]:.2e})")
-    Yinv = (U / w) @ U.T
-    sigmas = _sigma_basis(model)
-    return 0.5 * np.einsum("dij,ij->d", sigmas, Yinv)
+    return TiltState(model, xi).grad
 
 
 def g_hessian_quadform(model: LinearModel, xi: np.ndarray,
@@ -487,22 +562,6 @@ def g_hessian_quadform(model: LinearModel, xi: np.ndarray,
     return value / (4.0 * np.pi)
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaPair:
-    """Extremal Riccati eigenvalue functionals bounding the finite region."""
-
-    minus: float
-    plus: float
-
-    @property
-    def in_Dinf(self) -> bool:
-        return self.minus < 0.0 < self.plus
-
-    @property
-    def gap(self) -> float:
-        return self.plus - self.minus
-
-
 def lambda_pm(model: LinearModel, xi: np.ndarray,
               inward: np.ndarray | None = None) -> LambdaPair:
     """Eigenvalue functionals whose signs delimit the finite region.
@@ -513,16 +572,7 @@ def lambda_pm(model: LinearModel, xi: np.ndarray,
     covariance is used for the maximal solution at the mirror of zero,
     which it equals and which it computes with better conditioning.
     """
-    xi = np.asarray(xi, dtype=float)
-    M = steady_covariance(model).M
-    w, U = np.linalg.eigh(M)
-    Minv = (U / w) @ U.T
-    sol = _riccati_any(model, xi, inward)
-    dual = _riccati_any(model, model.theta_inv - xi,
-                        None if inward is None else -np.asarray(inward, dtype=float))
-    lam_minus = -float(np.linalg.eigvalsh(sol.X + Minv)[0])
-    lam_plus = float(np.linalg.eigvalsh(dual.X)[0])
-    return LambdaPair(minus=lam_minus, plus=lam_plus)
+    return TiltState(model, xi, inward).lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -582,31 +632,24 @@ def sinf_margin(model: LinearModel, geometry: DomainGeometry,
     bounded scalar ascent over the shift coefficients (heuristic, exact in
     all shipped examples).
     """
-    xi_perp = np.asarray(xi_perp, dtype=float)
-    if geometry.dim_L == 1:
-        lam = lambda_pm(model, xi_perp, inward)
-        return lam.gap
-    M = steady_covariance(model).M
-    w, U = np.linalg.eigh(M)
-    Minv = (U / w) @ U.T
-    sol = _riccati_any(model, xi_perp, inward)
-    dual = _riccati_any(model, model.theta_inv - xi_perp,
-                        None if inward is None else -np.asarray(inward, dtype=float))
-    lower = sol.X + Minv
-    upper = dual.X
+    return TiltState(model, xi_perp, inward).sinf_margin(geometry)
 
-    lifts = geometry.L_lifts
 
+def _shift_ascent(lifts: tuple[np.ndarray, ...],
+                  terms: list[tuple[np.ndarray, float]]) -> float:
+    """Maximize over shifts ``S = sum_j c_j lifts[j]`` the smallest
+    eigenvalue of every ``P + s S``, ``(P, s)`` in ``terms``, by
+    coordinate-wise bounded scalar ascent (heuristic; dim L > 1 only)."""
     def margin(coeffs: np.ndarray) -> float:
         shift = sum(c * lift for c, lift in zip(coeffs, lifts))
-        return min(float(np.linalg.eigvalsh(upper - shift)[0]),
-                   float(np.linalg.eigvalsh(lower + shift)[0]))
+        return min(float(np.linalg.eigvalsh(P + sign * shift)[0])
+                   for P, sign in terms)
 
-    scale = max(np.abs(np.linalg.eigvalsh(upper)).max(),
-                np.abs(np.linalg.eigvalsh(lower)).max(), 1.0)
-    coeffs = np.zeros(geometry.dim_L)
+    scale = max(1.0, max(float(np.abs(np.linalg.eigvalsh(P)).max())
+                         for P, _ in terms))
+    coeffs = np.zeros(len(lifts))
     for _ in range(4):
-        for j in range(geometry.dim_L):
+        for j in range(len(lifts)):
             def along(c: float) -> float:
                 trial = coeffs.copy()
                 trial[j] = c

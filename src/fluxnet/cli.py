@@ -13,11 +13,9 @@ Exit codes: 0 success, 1 numerical failure (or failed controllability in
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -132,19 +130,6 @@ def _load(args) -> tuple[LinearModel, DomainGeometry]:
     return model, lineality_space(model)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("FLUXNET_THREADS", "1")))
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -218,14 +203,8 @@ def cmd_rate(args) -> int:
     model, geometry = _load(args)
     geometry.require_section()
     coords = _phi_grid(model, geometry, args.grid, args.extent)
-    threads = _threads(args)
-
-    def solve(c):
-        phi = geometry.from_frame(c)
-        res = rate_function(model, geometry, phi)
-        return res
-
-    results = _parallel_map(solve, list(coords), threads)
+    results = [rate_function(model, geometry, geometry.from_frame(c))
+               for c in coords]
     columns = ([f"phi_c{j+1}" for j in range(geometry.section_dim)]
                + [f"phi_{name}" for name in model.spec.boundary_ids]
                + ["I", "Delta", "interior", "in_F0", "conjectural_global"])
@@ -356,15 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     unused_tol = "not used by this subcommand; only recorded in the manifest"
-    unused_threads = "not used by this subcommand"
 
-    def common(p, tol_help=unused_tol, threads_help=unused_threads):
+    def common(p, tol_help=unused_tol):
         p.add_argument("spec", help="network description file (JSON)")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of CSV")
         p.add_argument("--tol", type=float, default=1e-6, help=tol_help)
-        p.add_argument("--threads", type=int, default=None, help=threads_help)
 
     section_tol = ("width to which the bisection of each section radius is "
                    "carried; the reported radius lies within tol/2 of the "
@@ -380,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gap_scan)
 
     p = sub.add_parser("rate", help="rate function and anomaly on a flux grid")
-    common(p, threads_help="worker threads over the grid points; they share "
-                           "one build of the finite-region boundary table "
-                           "(default: FLUXNET_THREADS or 1)")
+    common(p)
     p.add_argument("--grid", type=int, default=5, help="grid points per axis")
     p.add_argument("--extent", type=float, default=None,
                    help="grid half-width (default: 3 |mean flux|)")

@@ -17,16 +17,17 @@ import scipy.optimize
 
 from .cgf import (
     DomainGeometry,
+    TiltState,
+    _shift_ascent,
     g_gradient,
     in_domain,
     lambda_pm,
     section_boundary,
     section_inf_boundary,
-    sinf_margin,
 )
 from .errors import ConvergenceError, NumericalError, RiccatiError, SpecificationError
 from .network import LinearModel, commuting_lift
-from .solvers import riccati_extrapolated, riccati_maximal, steady_covariance
+from .solvers import steady_covariance
 
 __all__ = [
     "RateResult",
@@ -46,6 +47,12 @@ SHRINK = 0.5
 
 #: iteration budget of the damped Newton ascent
 MAX_NEWTON = 200
+
+#: smallest cosine between a Newton step and the gradient for the step to
+#: be taken (angle condition); near the domain boundary the Hessian is close
+#: to singular, and steps nearly orthogonal to the gradient crawl along the
+#: boundary without converging, so steepest ascent is taken there instead
+MIN_COS = 1e-2
 
 #: accepted steps in a row that gain no more than rounding, after which an
 #: ascent whose gradient is below its stall tolerance counts as converged;
@@ -76,86 +83,34 @@ class RateResult:
     anomaly: float | None = None
 
 
-def _g_riccati_fast(model: LinearModel, xi: np.ndarray) -> float:
-    sol = riccati_maximal(model, xi)
-    t_x = float(np.trace(model.Q.T @ sol.X @ model.Q))
-    t_lift = float(np.sum(2.0 * model.gamma * model.theta * xi))
-    return -0.5 * (t_x - t_lift)
-
-
 def _feasible(model: LinearModel, geometry: DomainGeometry,
-              xi: np.ndarray) -> bool:
-    if not in_domain(model, xi):
+              state: TiltState) -> bool:
+    if not in_domain(model, state.xi):
         return False
     try:
-        return sinf_margin(model, geometry, xi) > 0.0
+        return state.sinf_margin(geometry) > 0.0
     except (RiccatiError, NumericalError):
         return False
 
 
 def _f0_margin(model: LinearModel, geometry: DomainGeometry,
-               xi_star: np.ndarray) -> float:
+               state: TiltState) -> float:
     """Feasibility margin for membership of the gradient image in the
-    symmetric sub-family where the local fluctuation relation is proven.
-
-    Looks for a conserved-direction shift placing both the tilt and its
-    mirror inside the finite region.  Exact for a one-dimensional lineality
-    space, coordinate ascent otherwise.
-    """
-    mirror = geometry.project(model.theta_inv) - xi_star
-    c_ones = float(np.mean(model.theta_inv))
+    symmetric sub-family where the local fluctuation relation is proven:
+    the largest conserved-direction shift margin placing both the tilt of
+    ``state`` and its mirror inside the finite region (exact for dim L = 1,
+    coordinate ascent otherwise)."""
+    mirror = TiltState(model, geometry.project(model.theta_inv) - state.xi)
     if geometry.dim_L == 1:
-        lam = lambda_pm(model, xi_star)
-        lam_m = lambda_pm(model, mirror)
+        c_ones = float(np.mean(model.theta_inv))
+        lam, lam_m = state.lambdas, mirror.lambdas
         lo = max(lam.minus, c_ones - lam_m.plus)
         hi = min(lam.plus, c_ones - lam_m.minus)
         return hi - lo
-
-    lifts = geometry.L_lifts
     rep = commuting_lift(model, (geometry.L_basis.T @ geometry.L_basis) @ model.theta_inv)
-    M = steady_covariance(model).M
-    w, U = np.linalg.eigh(M)
-    Minv = (U / w) @ U.T
-    sol = riccati_maximal(model, xi_star)
-    dual = riccati_maximal(model, model.theta_inv - xi_star)
-    sol_m = riccati_maximal(model, mirror)
-    dual_m = riccati_maximal(model, model.theta_inv - mirror)
-
-    def margin(coeffs: np.ndarray) -> float:
-        shift = sum(c * lift for c, lift in zip(coeffs, lifts))
-        shift_m = rep - shift
-        return min(
-            float(np.linalg.eigvalsh(dual.X - shift)[0]),
-            float(np.linalg.eigvalsh(sol.X + Minv + shift)[0]),
-            float(np.linalg.eigvalsh(dual_m.X - shift_m)[0]),
-            float(np.linalg.eigvalsh(sol_m.X + Minv + shift_m)[0]),
-        )
-
-    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(dual.X)).max()))
-    coeffs = np.zeros(geometry.dim_L)
-    for _ in range(4):
-        for j in range(geometry.dim_L):
-            def along(c: float) -> float:
-                trial = coeffs.copy()
-                trial[j] = c
-                return -margin(trial)
-
-            res = scipy.optimize.minimize_scalar(
-                along, bounds=(-4.0 * scale, 4.0 * scale), method="bounded",
-                options={"xatol": 1e-9 * scale})
-            coeffs[j] = float(res.x)
-    return margin(coeffs)
-
-
-def _g_riccati_robust(model: LinearModel, xi: np.ndarray,
-                      inward: np.ndarray) -> float:
-    try:
-        sol = riccati_maximal(model, xi)
-    except RiccatiError:
-        sol = riccati_extrapolated(model, xi, inward)
-    t_x = float(np.trace(model.Q.T @ sol.X @ model.Q))
-    t_lift = float(np.sum(2.0 * model.gamma * model.theta * xi))
-    return -0.5 * (t_x - t_lift)
+    return _shift_ascent(geometry.L_lifts, [
+        (state.dual.X, -1.0), (state.lower, 1.0),
+        (mirror.dual.X - rep, 1.0), (mirror.lower + rep, -1.0)])
 
 
 def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
@@ -209,19 +164,14 @@ def _boundary_point(model: LinearModel, geometry: DomainGeometry,
     u = geometry.from_frame(_dir_from_angles(angles, geometry.section_dim))
     r = section_inf_boundary(model, geometry, u, tol=tol, bracket_hint=hint)
     xi = r * u
-    return xi, r, _g_riccati_robust(model, xi, inward=-u)
+    return xi, r, TiltState(model, xi, inward=-u).g
 
 
 def _boundary_table(model: LinearModel,
                     geometry: DomainGeometry) -> _BoundaryTable:
-    # threads sharing a geometry wait for one build instead of each
-    # building their own
-    with geometry._lock:
-        table = geometry._radial.get("sinf_table")
-        if table is None:
-            table = _BoundaryTable(model, geometry)
-            geometry._radial["sinf_table"] = table
-    return table
+    if "sinf_table" not in geometry._radial:
+        geometry._radial["sinf_table"] = _BoundaryTable(model, geometry)
+    return geometry._radial["sinf_table"]
 
 
 def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
@@ -303,25 +253,18 @@ def rate_function(model: LinearModel, geometry: DomainGeometry,
 
 def _maximize(model: LinearModel, geometry: DomainGeometry,
               phi: np.ndarray, gtol: float) -> RateResult:
-    k = geometry.section_dim
+    frame = geometry.frame
     phi_c = geometry.to_frame(phi)
-    c = np.zeros(k)
-    f_c = float(c @ phi_c) - _g_riccati_fast(model, geometry.from_frame(c))
+    c = np.zeros(geometry.section_dim)
+    # the state of the current iterate; an accepted trial's state, solved
+    # by the feasibility test, supplies the value, gradient and Hessian
+    state = TiltState(model, geometry.from_frame(c))
+    f_c = float(c @ phi_c) - state.g
     tol = gtol * (1.0 + np.linalg.norm(phi))
     stall_tol = max(100.0 * tol, 1e-7 * (1.0 + np.linalg.norm(phi)))
     noise = 1e-13 * (1.0 + abs(f_c))
-    h = 1e-5
 
-    def grad_at(coords: np.ndarray) -> np.ndarray:
-        return phi_c - geometry.frame @ g_gradient(model, geometry.from_frame(coords))
-
-    def safe_grad(coords: np.ndarray) -> np.ndarray | None:
-        try:
-            return grad_at(coords)
-        except (RiccatiError, NumericalError):
-            return None
-
-    grad = grad_at(c)
+    grad = phi_c - frame @ state.grad
     boundary = False
     converged = False
     stalled = 0
@@ -330,41 +273,26 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
         if np.linalg.norm(grad) <= tol:
             converged = True
             break
+        # Newton step: the objective's Hessian is minus that of g
         delta = grad
-        columns = []
-        for j in range(k):
-            step = np.zeros(k)
-            step[j] = h
-            gp, gm = safe_grad(c + step), safe_grad(c - step)
-            if gp is not None and gm is not None:
-                columns.append((gp - gm) / (2.0 * h))
-            elif gp is not None:
-                columns.append((gp - grad) / h)
-            elif gm is not None:
-                columns.append((grad - gm) / h)
-            else:
-                columns = []
-                break
-        if columns:
-            H = np.array(columns).T
-            H = 0.5 * (H + H.T)
-            try:
-                candidate = np.linalg.solve(H, -grad)
-                if candidate @ grad > 0.0:
-                    delta = candidate
-            except np.linalg.LinAlgError:
-                pass
+        try:
+            candidate = np.linalg.solve(state.hessian(frame), grad)
+            cos = candidate @ grad / (np.linalg.norm(candidate) * np.linalg.norm(grad))
+            if cos > MIN_COS:
+                delta = candidate
+        except np.linalg.LinAlgError:
+            pass
         t = 1.0
         gain = None
         for _ in range(40):
             trial = c + t * delta
-            if _feasible(model, geometry, geometry.from_frame(trial)):
-                f_trial = float(trial @ phi_c) - _g_riccati_fast(
-                    model, geometry.from_frame(trial))
+            trial_state = TiltState(model, geometry.from_frame(trial))
+            if _feasible(model, geometry, trial_state):
+                f_trial = float(trial @ phi_c) - trial_state.g
                 if f_trial >= f_c + ARMIJO * t * float(delta @ grad) - noise:
                     gain = f_trial - f_c
-                    c, f_c = trial, f_trial
-                    grad = grad_at(c)
+                    c, f_c, state = trial, f_trial, trial_state
+                    grad = phi_c - frame @ state.grad
                     break
             t *= SHRINK
         if gain is None:
@@ -393,9 +321,8 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
                           grad_residual=float(np.linalg.norm(grad)),
                           iterations=iterations, conjectural_global=True)
 
-    xi_star = geometry.from_frame(c)
-    in_f0 = _f0_margin(model, geometry, xi_star) > 0.0
-    return RateResult(phi=phi, I_value=f_c, xi_star=xi_star, interior=True,
+    in_f0 = _f0_margin(model, geometry, state) > 0.0
+    return RateResult(phi=phi, I_value=f_c, xi_star=state.xi, interior=True,
                       in_F0=in_f0, grad_residual=float(np.linalg.norm(grad)),
                       iterations=iterations, conjectural_global=False)
 

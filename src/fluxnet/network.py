@@ -12,6 +12,7 @@ first, then the stiffness-weighted positions, so the internal energy is
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ __all__ = [
     "load_spec",
     "assemble_model",
     "canonical_lift",
+    "flux_density_stack",
     "commuting_lift",
     "kalman_controllable",
 ]
@@ -339,6 +341,14 @@ def canonical_lift(model: LinearModel, xi: np.ndarray) -> TiltLift:
     sigma = model.Omega @ xi_tilde - xi_tilde @ model.Omega
     return TiltLift(xi=_frozen(xi), xi_tilde=_frozen(xi_tilde),
                     sigma=_frozen(0.5 * (sigma + sigma.T)))
+
+
+@functools.lru_cache(maxsize=64)
+def flux_density_stack(model: LinearModel) -> np.ndarray:
+    """``sigma`` of the canonical lift of each basis tilt, shape
+    ``(d, 2n, 2n)``; memoized per model, which is hashed by identity."""
+    eye = np.eye(model.d)
+    return _frozen([canonical_lift(model, eye[j]).sigma for j in range(model.d)])
 
 
 def _sym_basis(m: int) -> list[np.ndarray]:

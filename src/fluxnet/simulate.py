@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, SpecificationError
-from .network import LinearModel, canonical_lift
+from .network import LinearModel, canonical_lift, flux_density_stack
 from .solvers import matrix_exponential, steady_covariance
 
 __all__ = [
@@ -175,13 +175,6 @@ def propagate(model: LinearModel, x: np.ndarray, h: float,
     return x @ stepper.F.T + eta
 
 
-def _sigma_stack(model: LinearModel) -> np.ndarray:
-    sig = np.empty((model.d, model.dim, model.dim))
-    for j in range(model.d):
-        sig[j] = canonical_lift(model, np.eye(model.d)[j]).sigma
-    return sig
-
-
 def accumulate_flux(model: LinearModel, xs: np.ndarray, h: float,
                     dw: np.ndarray | None = None):
     """Per-reservoir heat fluxes along a uniformly sampled trajectory.
@@ -207,7 +200,7 @@ def accumulate_flux(model: LinearModel, xs: np.ndarray, h: float,
         raise SpecificationError("trajectory has wrong phase-space dimension")
     if dw is not None and dw.shape[-2] != xs.shape[-2] - 1:
         raise SpecificationError("increment count does not match sample spacing")
-    sig = _sigma_stack(model)
+    sig = flux_density_stack(model)
     bp = model.boundary_index
     p = xs[..., bp]
     quad = 0.5 * p ** 2
@@ -261,7 +254,7 @@ def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
     M = steady_covariance(model).M
     root = np.linalg.cholesky(M)
     stepper = ExactOUStep.build(model, h, M=M)
-    sig = _sigma_stack(model)
+    sig = flux_density_stack(model)
     bp = model.boundary_index
     scale = np.sqrt(2.0 * model.gamma * model.theta)
     mid = n_steps // 2
@@ -355,7 +348,7 @@ def finite_horizon_cgf(model: LinearModel, tilt: np.ndarray, n_steps: int,
     bp = model.boundary_index
     B = np.zeros((model.dim, model.dim))
     B[bp, bp] = tilt
-    S = h * np.einsum("d,dij->ij", tilt, _sigma_stack(model))
+    S = h * np.einsum("d,dij->ij", tilt, flux_density_stack(model))
 
     P = B + 0.5 * S
     log_mgf = 0.0

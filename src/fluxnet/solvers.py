@@ -11,7 +11,7 @@ the right tool throughout.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
@@ -51,6 +51,14 @@ class SteadyState:
 
     M: np.ndarray
     residual: float
+
+    @functools.cached_property
+    def Minv(self) -> np.ndarray:
+        """Inverse covariance, computed on first read."""
+        w, U = np.linalg.eigh(self.M)
+        Minv = (U / w) @ U.T
+        Minv.setflags(write=False)
+        return Minv
 
 
 def solve_lyapunov(A: np.ndarray, B: np.ndarray) -> SteadyState:
@@ -150,22 +158,28 @@ class RiccatiSolution:
 
     ``X`` solves ``X B X - X A_xi - A_xi* X - C_xi = 0``; the closed-loop
     matrix ``D = A_xi - B X`` carries the stable half of the doubled-matrix
-    spectrum.  ``gap`` (the difference to the minimal solution) is filled in
-    by the cumulant-generating-function layer, which knows the dual tilt.
+    spectrum.  ``residual``, the 2-norm of the left-hand side, is computed
+    on first read.
     """
 
+    model: LinearModel = field(repr=False)
     xi: np.ndarray
     X: np.ndarray
     D: np.ndarray
-    residual: float
-    graph_sigma_min: float
-    gap: np.ndarray | None = None
 
+    @functools.cached_property
+    def residual(self) -> float:
+        A_xi, C_xi = tilted_blocks(self.model, self.xi)
+        X = self.X
+        R = X @ self.model.B @ X - X @ A_xi - A_xi.T @ X - C_xi
+        return float(np.linalg.norm(R, 2))
 
-def _riccati_residual(model: LinearModel, A_xi: np.ndarray, C_xi: np.ndarray,
-                      X: np.ndarray) -> float:
-    R = X @ model.B @ X - X @ A_xi - A_xi.T @ X - C_xi
-    return float(np.linalg.norm(R, 2))
+    def sensitivity(self, A_dot: np.ndarray, C_dot: np.ndarray) -> np.ndarray:
+        """First-order change of ``X`` when ``A_xi``, ``C_xi`` move by
+        ``A_dot``, ``C_dot``: ``D* X' + X' D = -(X A_dot + A_dot* X + C_dot)``
+        (Kenney and Hewer, 1990)."""
+        XA = self.X @ A_dot
+        return sla.solve_continuous_lyapunov(self.D.T, -(XA + XA.T + C_dot))
 
 
 def riccati_maximal(model: LinearModel, xi: np.ndarray) -> RiccatiSolution:
@@ -202,19 +216,12 @@ def riccati_maximal(model: LinearModel, xi: np.ndarray) -> RiccatiSolution:
     V1 = Z[:m, :m]
     V2 = Z[m:, :m]
     svals = np.linalg.svd(V1, compute_uv=False)
-    graph_sigma_min = float(svals[-1])
-    if graph_sigma_min < 1e-12 * svals[0]:
+    if svals[-1] < 1e-12 * svals[0]:
         raise RiccatiError(
-            f"graph condition failed (smallest singular value {graph_sigma_min:.2e})")
+            f"graph condition failed (smallest singular value {svals[-1]:.2e})")
     X = _sym(np.linalg.solve(V1.T, V2.T).T)
     D = A_xi - model.B @ X
-    return RiccatiSolution(
-        xi=np.asarray(xi, dtype=float),
-        X=X,
-        D=D,
-        residual=_riccati_residual(model, A_xi, C_xi, X),
-        graph_sigma_min=graph_sigma_min,
-    )
+    return RiccatiSolution(model=model, xi=np.asarray(xi, dtype=float), X=X, D=D)
 
 
 def riccati_minimal(model: LinearModel, xi: np.ndarray) -> np.ndarray:
@@ -261,14 +268,8 @@ def riccati_extrapolated(model: LinearModel, xi: np.ndarray,
     stack = np.array(samples).reshape(len(good), -1)
     coef, *_ = np.linalg.lstsq(design, stack, rcond=None)
     X = _sym(coef[0].reshape(model.dim, model.dim))
-    A_xi, C_xi = tilted_blocks(model, xi)
-    return RiccatiSolution(
-        xi=xi,
-        X=X,
-        D=A_xi - model.B @ X,
-        residual=_riccati_residual(model, A_xi, C_xi, X),
-        graph_sigma_min=np.nan,
-    )
+    A_xi, _ = tilted_blocks(model, xi)
+    return RiccatiSolution(model=model, xi=xi, X=X, D=A_xi - model.B @ X)
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -64,6 +64,20 @@ def single_oscillator_doc():
     }
 
 
+def two_dimers_doc():
+    """Two uncoupled dimers, each with its own two reservoirs: the energy of
+    each dimer is conserved, so the lineality space has dimension 2."""
+    return {
+        "oscillators": ["a1", "a2", "b1", "b2"],
+        "kappa_sq": [[1.0, -0.3, 0.0, 0.0], [-0.3, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, -0.2], [0.0, 0.0, -0.2, 1.0]],
+        "boundary": [{"id": "a1", "gamma": 1.0, "theta": 1.0},
+                     {"id": "a2", "gamma": 1.0, "theta": 2.0},
+                     {"id": "b1", "gamma": 1.0, "theta": 1.5},
+                     {"id": "b2", "gamma": 1.0, "theta": 4.0}],
+    }
+
+
 def random_network_doc(rng, n_max=6):
     """Random SPD stiffness with a random driven subset; retried until
     controllable (dense couplings almost surely are)."""

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from fluxnet import (
     DomainError,
@@ -18,13 +19,22 @@ from fluxnet import (
     lambda_pm,
     lineality_space,
     load_spec,
+    parse_spec,
+    riccati_maximal,
     section_boundary,
     section_inf_boundary,
     steady_covariance,
 )
-from fluxnet.cgf import E_matrix, E_matrix_from_lift, domain_margin, sinf_margin
+from fluxnet import cgf
+from fluxnet.cgf import (
+    E_matrix,
+    E_matrix_from_lift,
+    TiltState,
+    domain_margin,
+    sinf_margin,
+)
 
-from conftest import random_tilt_in_D0
+from conftest import random_tilt_in_D0, two_dimers_doc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 
@@ -270,6 +280,39 @@ class TestDerivatives:
         fd = (g_at(xi + step * eta) - 2.0 * g_at(xi) + g_at(xi - step * eta)) / step ** 2
         assert abs(fd - quad) < 1e-4 * (1.0 + abs(quad))
 
+    @pytest.mark.parametrize("name", [
+        "lozenge_1_2_4", "lozenge_1_2_64", "triangular_1_2_64",
+        "heatpump_10_3.6_7_6.8"])
+    def test_riccati_hessian_matches_gradient_differences(self, name):
+        m = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+        frame = lineality_space(m).frame
+        rng = np.random.default_rng(14)
+        step = 1e-5
+        for _ in range(5):
+            xi = random_tilt_in_D0(rng, m)
+            H = TiltState(m, xi).hessian(frame)
+            fd = np.array([
+                frame @ (g_gradient(m, xi + step * f) - g_gradient(m, xi - step * f))
+                for f in frame]).T / (2.0 * step)
+            assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(H), xi
+
+    def test_one_riccati_pair_per_tilt(self, lozenge_124, monkeypatch):
+        # g, its gradient and Lambda+- all read the solutions at the tilt
+        # and at its mirror
+        tilts = []
+
+        def counted(model, xi):
+            tilts.append(np.array(xi))
+            return riccati_maximal(model, xi)
+
+        monkeypatch.setattr(cgf, "riccati_maximal", counted)
+        xi = np.array([0.2, 0.3, 0.1])
+        res = g_value(lozenge_124, xi, method="all")
+        assert res.grad is not None and res.Lambda_plus is not None
+        assert len(tilts) == 2
+        np.testing.assert_array_equal(tilts[0], xi)
+        np.testing.assert_array_equal(tilts[1], lozenge_124.theta_inv - xi)
+
 
 class TestFiniteRegion:
     def test_origin_values_from_covariance(self, lozenge_124):
@@ -305,6 +348,38 @@ class TestFiniteRegion:
         assert sinf_margin(m, geom, inside) > 0.0
         if in_domain_D(m, outside)[0]:
             assert sinf_margin(m, geom, outside) < 0.0
+
+    def test_margin_with_two_conserved_directions(self):
+        # two decoupled dimers conserve their energies separately, so the
+        # lineality space has dimension 2 and the margin is maximized over
+        # a two-parameter shift; compare with a multi-start simplex search
+        m = assemble_model(parse_spec(two_dimers_doc()))
+        geom = lineality_space(m)
+        assert geom.dim_L == 2
+        Minv = np.linalg.inv(steady_covariance(m).M)
+
+        def simplex_margin(xi):
+            lower = riccati_maximal(m, xi).X + Minv
+            upper = riccati_maximal(m, m.theta_inv - xi).X
+
+            def negated(coeffs):
+                shift = sum(c * lift for c, lift in zip(coeffs, geom.L_lifts))
+                return -min(np.linalg.eigvalsh(upper - shift)[0],
+                            np.linalg.eigvalsh(lower + shift)[0])
+
+            starts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, -1.0),
+                      (0.5, -0.5)]
+            return max(-scipy.optimize.minimize(
+                negated, np.array(start), method="Nelder-Mead",
+                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}).fun
+                for start in starts)
+
+        for angle in (0.3, 2.0, 4.0):
+            u = geom.from_frame(np.array([np.cos(angle), np.sin(angle)]))
+            xi = 0.5 * section_inf_boundary(m, geom, u) * u
+            margin = sinf_margin(m, geom, xi)
+            assert margin > 0.1
+            assert abs(margin - simplex_margin(xi)) < 1e-8
 
 
 class TestSectionGeometry:

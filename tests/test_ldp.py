@@ -1,9 +1,5 @@
 """Rate function, fluctuation-relation diagnostics, entropy production."""
 
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -24,7 +20,7 @@ from fluxnet import (
 )
 from fluxnet import ldp
 
-from conftest import gap_arc_probe
+from conftest import gap_arc_probe, two_dimers_doc
 
 
 def dimer_1_64():
@@ -151,39 +147,17 @@ class TestRateFunction:
         assert abs(res.I_value - (float(res.xi_star @ phi) - g_star)) < 1e-9
         assert np.linalg.norm(g_gradient(m, res.xi_star) - phi) < 1e-4
 
-    def test_threads_share_one_boundary_table(self, monkeypatch):
-        m, geom = dimer_1_64()
-        builds = []
-
-        class SlowTable(ldp._BoundaryTable):
-            def __init__(self, model, geometry):
-                builds.append(threading.get_ident())
-                time.sleep(0.2)  # keep the second caller inside the build
-                super().__init__(model, geometry)
-
-        monkeypatch.setattr(ldp, "_BoundaryTable", SlowTable)
-        mean = entropy_production(m).mean_flux
-        phi = geom.from_frame(geom.to_frame(mean) * -6.0)
-        results = [None] * 4
-
-        def solve(j):
-            results[j] = rate_function(m, geom, phi, with_anomaly=False)
-
-        workers = [threading.Thread(target=solve, args=(j,))
-                   for j in range(len(results))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=120.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert len(builds) == 1
-        assert all(r is not None and not r.interior for r in results)
-        assert len({r.I_value for r in results}) == 1
+    def test_interior_with_two_conserved_directions(self):
+        # two decoupled dimers: the lineality space has dimension 2, so the
+        # F0 test maximizes over a two-parameter shift
+        m = assemble_model(parse_spec(two_dimers_doc()))
+        geom = lineality_space(m)
+        assert geom.dim_L == 2
+        phi = 2.0 * entropy_production(m).mean_flux
+        res = rate_function(m, geom, phi)
+        assert res.interior and res.in_F0 and not res.conjectural_global
+        assert np.linalg.norm(g_gradient(m, res.xi_star) - phi) < 1e-6
+        assert abs(res.anomaly) < 1e-9
 
 
 class TestFrDefect:

@@ -19,7 +19,8 @@ from fluxnet import (
     sample_stationary,
     steady_covariance,
 )
-from fluxnet.simulate import _run_batch, _sigma_stack, trajectory_rng
+from fluxnet.network import flux_density_stack
+from fluxnet.simulate import _run_batch, trajectory_rng
 
 
 class TestStationarySampling:
@@ -174,7 +175,7 @@ def _joint_gaussian_form(model, tilt, n_steps, h):
             sigma[j * dim:(j + 1) * dim, k * dim:(k + 1) * dim] = block.T
     B = np.zeros((dim, dim))
     B[model.boundary_index, model.boundary_index] = tilt
-    S = h * np.einsum("d,dij->ij", tilt, _sigma_stack(model))
+    S = h * np.einsum("d,dij->ij", tilt, flux_density_stack(model))
     Q = np.zeros_like(sigma)
     for k in range(n_steps + 1):
         block = S if 0 < k < n_steps else 0.5 * S + (B if k == n_steps else -B)
