@@ -443,7 +443,12 @@ class TiltState:
 
 @dataclass(eq=False)
 class CGFResult:
-    """Cross-validated value of g at one tilt, with domain diagnostics."""
+    """Cross-validated value of g at one tilt, with domain diagnostics.
+
+    ``margin`` is the domain margin of :func:`domain_margin`; ``g_value``
+    computes it only with ``with_domain_data`` or for a tilt outside the
+    open domain, and leaves it ``None`` otherwise.
+    """
 
     xi: np.ndarray
     g_integral: float | None
@@ -451,7 +456,7 @@ class CGFResult:
     g_riccati: float | None
     grad: np.ndarray | None
     in_D: bool
-    margin: float
+    margin: float | None
     in_Dinf: bool | None = None
     Lambda_minus: float | None = None
     Lambda_plus: float | None = None
@@ -471,7 +476,9 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
     ``method`` is one of ``integral``, ``spectral``, ``riccati`` or ``all``;
     the integral route needs the open domain, the other two extend to its
     closure.  With ``all``, the three values are cross-checked against each
-    other and a disagreement beyond tolerance raises.
+    other and a disagreement beyond tolerance raises.  ``with_domain_data``
+    adds the gradient, Lambda+- and the domain margin inside the open
+    domain.
 
     Raises
     ------
@@ -483,7 +490,7 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
     if method not in ("integral", "spectral", "riccati", "all"):
         raise SpecificationError(f"unknown method {method!r}")
     in_D = in_domain(model, xi)
-    margin = domain_margin(model, xi)
+    margin = domain_margin(model, xi) if with_domain_data or not in_D else None
     if not in_D and margin < -1e-9:
         raise DomainError(
             f"outside essential domain closure (margin {margin:.2e})")

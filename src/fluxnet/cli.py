@@ -38,7 +38,7 @@ from .ldp import (
     rate_function,
 )
 from .network import LinearModel, assemble_model, kalman_controllable, load_spec
-from .simulate import SimConfig, cross_accumulator_ratio, empirical_cgf
+from .simulate import SimConfig, empirical_cgf
 
 #: flux components smaller than this count as zero when flagging equilibrium
 EQUILIBRIUM_TOL = 1e-12

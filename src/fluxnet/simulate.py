@@ -4,9 +4,9 @@ Trajectories of the network diffusion are propagated with the exact
 one-step law of the linear SDE (no time-discretization bias in the state),
 and per-reservoir heat fluxes are accumulated pathwise from the
 boundary-term representation: a quadratic form difference plus a
-trapezoid sum of the flux density.  A plain left-point Ito accumulator of
-the defining work integral runs alongside on the same Wiener increments as
-an independent cross-check.
+trapezoid sum of the flux density.  On request, a plain left-point Ito
+accumulator of the defining work integral runs alongside on the same Wiener
+increments as an independent cross-check.
 
 Randomness comes from counter-based per-trajectory streams, so results are
 reproducible and independent of chunking or scheduling order.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, SpecificationError
-from .network import LinearModel, canonical_lift, flux_density_stack
+from .network import LinearModel, canonical_lift, flux_density, flux_density_stack
 from .solvers import matrix_exponential, steady_covariance
 
 __all__ = [
@@ -48,6 +48,10 @@ STREAM_CROSS = 3
 #: fixed processing chunk (trajectories per batch); constant so that array
 #: shapes, and therefore floating-point results, never depend on memory
 CHUNK = 512
+
+#: time steps drawn, mapped and accumulated together; bounds the memory of a
+#: chunk independently of the horizon
+BLOCK = 256
 
 
 def trajectory_rng(seed: int, index: int, stream: int = STREAM_MAIN) -> np.random.Generator:
@@ -200,11 +204,10 @@ def accumulate_flux(model: LinearModel, xs: np.ndarray, h: float,
         raise SpecificationError("trajectory has wrong phase-space dimension")
     if dw is not None and dw.shape[-2] != xs.shape[-2] - 1:
         raise SpecificationError("increment count does not match sample spacing")
-    sig = flux_density_stack(model)
     bp = model.boundary_index
     p = xs[..., bp]
     quad = 0.5 * p ** 2
-    sig_vals = 0.5 * np.einsum("...ki,dij,...kj->...kd", xs, sig, xs)
+    sig_vals = flux_density(model, xs)
     weights = np.ones(xs.shape[-2])
     weights[0] = weights[-1] = 0.5
     phi = quad[..., -1, :] - quad[..., 0, :] + h * np.einsum(
@@ -244,70 +247,124 @@ def accumulate_tilt_flux(model: LinearModel, xs: np.ndarray, h: float,
 
 @dataclass(eq=False)
 class _BatchResult:
-    phi: np.ndarray          # boundary-term accumulator at the horizon
-    phi_em: np.ndarray       # Ito accumulator at the horizon
+    phi: np.ndarray             # boundary-term accumulator at the horizon
+    phi_em: np.ndarray | None   # Ito accumulator at the horizon, if asked for
     phi_mid: np.ndarray | None  # boundary-term accumulator at half horizon
 
 
 def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
-               n_steps: int, h: float, record_mid: bool = False) -> _BatchResult:
+               n_steps: int, h: float, record_mid: bool = False,
+               ito: bool = False) -> _BatchResult:
+    """Propagate ``n_traj`` stationary trajectories and accumulate fluxes.
+
+    Trajectory ``j`` consumes its own stream: one row of ``dim + d``
+    standard normals for the start, then one row per step, drawn ``BLOCK``
+    rows at a time (Philox yields the same numbers however the draw is
+    split).  Each block is mapped to noise and evaluated for flux densities
+    in one product, so memory does not grow with ``n_steps``.  ``ito`` adds
+    the left-point Ito accumulator on the shared increments.
+    """
     M = steady_covariance(model).M
     root = np.linalg.cholesky(M)
     stepper = ExactOUStep.build(model, h, M=M)
-    sig = flux_density_stack(model)
+    dim, d, width = model.dim, model.d, model.dim + model.d
+    noise_map = (stepper.L if ito else stepper.L[:dim]).T
+    Ft = stepper.F.T
     bp = model.boundary_index
     scale = np.sqrt(2.0 * model.gamma * model.theta)
-    mid = n_steps // 2
+    mid = n_steps // 2 if record_mid else -1
 
-    phi = np.empty((n_traj, model.d))
-    phi_em = np.empty((n_traj, model.d))
-    phi_mid = np.empty((n_traj, model.d)) if record_mid else None
-
-    def sigma_vals(x: np.ndarray) -> np.ndarray:
-        return 0.5 * np.einsum("bi,dij,bj->bd", x, sig, x)
+    phi = np.empty((n_traj, d))
+    phi_em = np.empty((n_traj, d)) if ito else None
+    phi_mid = np.empty((n_traj, d)) if record_mid else None
 
     for start in range(0, n_traj, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, n_traj))
-        b = len(idx)
-        z = np.empty((b, n_steps + 1, model.dim + model.d))
-        for row, j in enumerate(idx):
-            z[row] = trajectory_rng(seed, j, stream).standard_normal(
-                (n_steps + 1, model.dim + model.d))
-        x = z[:, 0, :model.dim] @ root.T
+        rows = slice(start, min(start + CHUNK, n_traj))
+        rngs = [trajectory_rng(seed, j, stream) for j in range(rows.start, rows.stop)]
+        b = len(rngs)
+        z = np.empty((b, BLOCK, width))
+        xs = np.empty((BLOCK + 1, b, dim))   # block states, time-major
+        x = np.array([rng.standard_normal(width)[:dim] for rng in rngs]) @ root.T
         quad0 = 0.5 * x[:, bp] ** 2
-        trap = 0.5 * sigma_vals(x)
-        em = np.zeros((b, model.d))
-        for k in range(n_steps):
-            eta, dwk = stepper.draw(z[:, k + 1, :])
-            p_left = x[:, bp]
-            em += scale * p_left * dwk + h * (model.gamma * (model.theta - p_left ** 2))
-            x = x @ stepper.F.T + eta
-            s_new = sigma_vals(x)
-            trap += s_new if k < n_steps - 1 else 0.5 * s_new
-            if record_mid and k + 1 == mid:
-                phi_mid[idx] = (0.5 * x[:, bp] ** 2 - quad0
-                                + h * (trap - 0.5 * s_new))
-        phi[idx] = 0.5 * x[:, bp] ** 2 - quad0 + h * trap
-        phi_em[idx] = em
+        trap = 0.5 * flux_density(model, x)
+        em = np.zeros((b, d))
+        for k0 in range(0, n_steps, BLOCK):
+            n = min(BLOCK, n_steps - k0)
+            for row, rng in enumerate(rngs):
+                rng.standard_normal(out=z[row, :n])
+            noise = np.matmul(z[:, :n].transpose(1, 0, 2), noise_map)
+            states = xs[:n + 1]
+            states[0] = x
+            for k in range(n):
+                np.matmul(states[k], Ft, out=states[k + 1])
+                states[k + 1] += noise[k, :, :dim]
+            s = flux_density(model, states[1:].reshape(-1, dim)).reshape(n, b, d)
+            if k0 < mid <= k0 + n:
+                j = mid - k0
+                phi_mid[rows] = (0.5 * states[j][:, bp] ** 2 - quad0
+                                 + h * (trap + s[:j].sum(axis=0) - 0.5 * s[j - 1]))
+            trap += s.sum(axis=0)
+            if ito:
+                p_left = states[:n][..., bp]
+                em += (scale * p_left * noise[..., dim:]).sum(axis=0) + h * (
+                    model.gamma * (model.theta - p_left ** 2)).sum(axis=0)
+            x = states[n].copy()
+        trap -= 0.5 * s[-1]
+        phi[rows] = 0.5 * x[:, bp] ** 2 - quad0 + h * trap
+        if ito:
+            phi_em[rows] = em
     return _BatchResult(phi=phi, phi_em=phi_em, phi_mid=phi_mid)
 
 
-def _integrate_step(P: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, float]:
-    """One Gaussian integral of the backward recursion.
+def _integrate_step(P: np.ndarray,
+                    L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Gaussian integral of the backward recursion, for a stack of
+    forms ``P`` of shape ``(n, dim, dim)``.
 
     For ``z`` standard normal, ``E exp(1/2 (a + L z)* P (a + L z))`` equals
-    ``det(I - L* P L)^(-1/2) exp(1/2 a* P' a)``.  Returns ``P'`` and
-    ``log det(I - L* P L)``; the integral converges exactly when every
-    eigenvalue of ``L* P L`` lies below one.
+    ``det(I - L* P L)^(-1/2) exp(1/2 a* P' a)``.  Returns ``P'``,
+    ``log det(I - L* P L)`` and the largest eigenvalue of ``L* P L`` per
+    form; the integral converges exactly when that eigenvalue is below one,
+    and ``P'`` and the log-determinant are meaningful only then.
     """
     K = L.T @ P @ L
-    lam, U = np.linalg.eigh(0.5 * (K + K.T))
-    if lam[-1] >= 1.0:
-        raise NumericalError(
-            "tilted expectation diverges: Gaussian integral with "
-            f"eigenvalue {lam[-1]:.6g} >= 1")
+    lam, U = np.linalg.eigh(0.5 * (K + K.swapaxes(-1, -2)))
     W = P @ L @ U
-    return P + (W / (1.0 - lam)) @ W.T, float(np.log1p(-lam).sum())
+    P_next = P + (W / (1.0 - lam)[:, None, :]) @ W.swapaxes(-1, -2)
+    return P_next, np.log1p(-lam).sum(axis=-1), lam[:, -1]
+
+
+def _finite_horizon_values(model: LinearModel, tilts: np.ndarray, n_steps: int,
+                           h: float, M: np.ndarray) -> np.ndarray:
+    """``finite_horizon_cgf`` at each row of ``tilts``, run as one stacked
+    recursion; ``inf`` where the expectation diverges."""
+    stepper = ExactOUStep.build(model, h, M=M)
+    L_step = stepper.L[:model.dim]
+    F = stepper.F
+    bp = model.boundary_index
+    stack = flux_density_stack(model)
+    B = np.zeros((len(tilts), model.dim, model.dim))
+    B[:, bp, bp] = tilts
+    S = np.array([h * np.einsum("d,dij->ij", tilt, stack) for tilt in tilts])
+
+    values = np.full(len(tilts), np.inf)
+    live = np.arange(len(tilts))
+    P = B + 0.5 * S
+    log_mgf = np.zeros(len(tilts))
+    # a diverged form divides by 1 - lam <= 0; it is dropped right after
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n_steps, -1, -1):
+            P, logdet, top = _integrate_step(
+                P, L_step if k > 0 else np.linalg.cholesky(M))
+            keep = top < 1.0
+            if not keep.all():
+                live, P, logdet, log_mgf = live[keep], P[keep], logdet[keep], log_mgf[keep]
+                B, S = B[keep], S[keep]
+            log_mgf -= 0.5 * logdet
+            if k > 0:
+                P = F.T @ P @ F + (S if k > 1 else 0.5 * S - B)
+    values[live] = log_mgf / (n_steps * h)
+    return values
 
 
 def finite_horizon_cgf(model: LinearModel, tilt: np.ndarray, n_steps: int,
@@ -342,23 +399,12 @@ def finite_horizon_cgf(model: LinearModel, tilt: np.ndarray, n_steps: int,
         raise SpecificationError(f"tilt needs {model.d} components")
     if M is None:
         M = steady_covariance(model).M
-    stepper = ExactOUStep.build(model, h, M=M)
-    L_step = stepper.L[:model.dim]
-    F = stepper.F
-    bp = model.boundary_index
-    B = np.zeros((model.dim, model.dim))
-    B[bp, bp] = tilt
-    S = h * np.einsum("d,dij->ij", tilt, flux_density_stack(model))
-
-    P = B + 0.5 * S
-    log_mgf = 0.0
-    for k in range(n_steps - 1, -1, -1):
-        P, logdet = _integrate_step(P, L_step)
-        log_mgf -= 0.5 * logdet
-        P = F.T @ P @ F + (S if k > 0 else 0.5 * S - B)
-    _, logdet = _integrate_step(P, np.linalg.cholesky(M))
-    log_mgf -= 0.5 * logdet
-    return log_mgf / (n_steps * h)
+    value = _finite_horizon_values(model, tilt[None, :], n_steps, h, M)[0]
+    if value == np.inf:
+        raise NumericalError(
+            "tilted expectation diverges: a Gaussian integral of the "
+            "recursion has an eigenvalue >= 1")
+    return float(value)
 
 
 @dataclass(eq=False)
@@ -443,13 +489,14 @@ def empirical_cgf(model: LinearModel, config: SimConfig,
 
     estimates: list[CgfEstimate] = []
     if len(config.tilts) > 0:
-        M = steady_covariance(model).M
+        tilts = np.array(config.tilts, dtype=float)
+        finite_values = _finite_horizon_values(
+            model, tilts, n_steps, h, steady_covariance(model).M)
         tail = 2.5 / len(config.tilts)
         boot_rng = trajectory_rng(config.seed, 0, STREAM_BOOTSTRAP)
         idx = boot_rng.integers(0, config.n_traj,
                                 size=(config.bootstrap, config.n_traj))
-        for tilt in config.tilts:
-            tilt = np.asarray(tilt, dtype=float)
+        for tilt, finite in zip(tilts, finite_values):
             y = batch.phi @ tilt
             top = y.max()
             weights = np.exp(y - top)
@@ -460,14 +507,10 @@ def empirical_cgf(model: LinearModel, config: SimConfig,
             boot = (tops[:, 0] + np.log(
                 np.exp(resampled - tops).mean(axis=1))) / horizon
             lo, hi = np.percentile(boot, [tail, 100.0 - tail])
-            try:
-                finite = finite_horizon_cgf(model, tilt, n_steps, h, M=M)
-            except NumericalError:
-                finite = float("inf")
             estimates.append(CgfEstimate(
                 tilt=tilt, value=float(value), ci_low=float(lo),
                 ci_high=float(hi), max_weight=max_weight,
-                reliable=max_weight <= 0.5, finite_horizon=finite))
+                reliable=max_weight <= 0.5, finite_horizon=float(finite)))
 
     conserved: list[ConservedCheck] = []
     if L_basis is not None and len(L_basis) > 0:
@@ -503,7 +546,8 @@ def cross_accumulator_ratio(model: LinearModel, seed: int,
     (ratio, discrepancy_h, discrepancy_half)
     """
     def discrepancy(step: float) -> float:
-        batch = _run_batch(model, seed, STREAM_CROSS, n_traj, n_steps, step)
+        batch = _run_batch(model, seed, STREAM_CROSS, n_traj, n_steps, step,
+                           ito=True)
         return float(np.abs(batch.phi - batch.phi_em).mean())
 
     d_h = discrepancy(h)

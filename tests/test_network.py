@@ -1,6 +1,7 @@
 """Network parsing, operator assembly and lift machinery."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from fluxnet import (
     canonical_lift,
     commuting_lift,
     kalman_controllable,
+    load_spec,
     parse_spec,
+    sample_stationary,
     steady_covariance,
 )
 from fluxnet.cgf import E_matrix_from_lift
-from fluxnet.network import TiltLift
+from fluxnet.network import TiltLift, flux_density, flux_density_stack
 
 from conftest import (
     lozenge_doc,
@@ -25,6 +28,8 @@ from conftest import (
     single_oscillator_doc,
     triangular_doc,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 
 
 class TestParse:
@@ -204,6 +209,17 @@ class TestLifts:
     def test_commuting_lift_rejects_generic_tilt(self, lozenge_124):
         with pytest.raises(SpecificationError, match="lineality"):
             commuting_lift(lozenge_124, np.array([1.0, 0.0, 0.0]))
+
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_rank_two_flux_density_matches_stack(self, name):
+        m = assemble_model(load_spec(CONFIGS / f"{name}.json"))
+        x = sample_stationary(m, np.random.default_rng(17), size=1000)
+        x = x.reshape(40, 25, m.dim)
+        dense = 0.5 * np.einsum("...i,dij,...j->...d", x, flux_density_stack(m), x)
+        fast = flux_density(m, x)
+        assert fast.shape == dense.shape == (40, 25, m.d)
+        assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 class TestControllability:

@@ -1,5 +1,7 @@
 """Monte Carlo machinery: exact stepping, flux accumulators, estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from fluxnet import (
     steady_covariance,
 )
 from fluxnet.network import flux_density_stack
-from fluxnet.simulate import _run_batch, trajectory_rng
+from fluxnet.simulate import BLOCK, _run_batch, trajectory_rng
 
 
 class TestStationarySampling:
@@ -263,11 +265,53 @@ class TestEmpiricalCgf:
 
     def test_streams_are_order_independent(self, lozenge_124):
         m = lozenge_124
+        # each trajectory reads only its own stream, so the leading rows of a
+        # larger batch reproduce a smaller batch
         batch = _run_batch(m, seed=5, stream=0, n_traj=10, n_steps=50, h=0.05)
-        # re-running a single trajectory through its own stream reproduces
-        # the batch row regardless of the other trajectories
-        single = _run_batch(m, seed=5, stream=0, n_traj=10, n_steps=50, h=0.05)
-        np.testing.assert_array_equal(batch.phi, single.phi)
-        rng_a = trajectory_rng(5, 3)
-        rng_b = trajectory_rng(5, 3)
-        assert np.array_equal(rng_a.standard_normal(8), rng_b.standard_normal(8))
+        head = _run_batch(m, seed=5, stream=0, n_traj=4, n_steps=50, h=0.05)
+        np.testing.assert_array_equal(batch.phi[:4], head.phi)
+        # a stream yields the same numbers however its draws are split
+        width = m.dim + m.d
+        whole = trajectory_rng(5, 3).standard_normal((1 + 2 * BLOCK, width))
+        rng = trajectory_rng(5, 3)
+        parts = [rng.standard_normal((1, width)),
+                 rng.standard_normal((BLOCK, width)),
+                 rng.standard_normal((BLOCK, width))]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize("n_steps", [50, 2 * BLOCK + 1, 2 * BLOCK + 37])
+    def test_blocked_engine_matches_full_path(self, lozenge_124, n_steps):
+        # the half horizon falls on a block edge for 2 BLOCK + 1 steps and
+        # inside a block otherwise; neither step count fills its last block
+        m, seed, stream, n_traj, h = lozenge_124, 8, 0, 6, 0.05
+        batch = _run_batch(m, seed, stream, n_traj, n_steps, h,
+                           record_mid=True, ito=True)
+        M = steady_covariance(m).M
+        root = np.linalg.cholesky(M)
+        stepper = ExactOUStep.build(m, h, M=M)
+        xs = np.empty((n_traj, n_steps + 1, m.dim))
+        dws = np.empty((n_traj, n_steps, m.d))
+        for j in range(n_traj):
+            z = trajectory_rng(seed, j, stream).standard_normal(
+                (n_steps + 1, m.dim + m.d))
+            xs[j, 0] = z[0, :m.dim] @ root.T
+            for k in range(n_steps):
+                eta, dws[j, k] = stepper.draw(z[k + 1])
+                xs[j, k + 1] = xs[j, k] @ stepper.F.T + eta
+        phi, phi_em = accumulate_flux(m, xs, h, dw=dws)
+        phi_mid, _ = accumulate_flux(m, xs[:, :n_steps // 2 + 1], h)
+        for got, want in ((batch.phi, phi), (batch.phi_mid, phi_mid),
+                          (batch.phi_em, phi_em)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_memory_does_not_grow_with_horizon(self, lozenge_124):
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                _run_batch(lozenge_124, seed=3, stream=0, n_traj=64,
+                           n_steps=n_steps, h=0.02)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * BLOCK) <= 1.5 * peak(2 * BLOCK)
