@@ -11,7 +11,7 @@ finite-horizon generating functions is actually finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -61,9 +61,6 @@ __all__ = [
     "section_inf_boundary",
 ]
 
-#: number of coarse grid points on the transformed frequency half-axis
-DOMAIN_GRID = 129
-
 #: singular values below this fraction of the largest one, or of the largest
 #: temperature if that is larger, count as zero when extracting the
 #: lineality space
@@ -71,6 +68,10 @@ LINEALITY_RTOL = 1e-9
 
 #: three-way agreement tolerance for the cross-validated value of g
 G_AGREE_TOL = 1e-6
+
+#: level steps of the domain-margin iteration; it converges quadratically
+#: and needs fewer than ten on the bundled configs
+MAX_LEVELS = 50
 
 
 def _resolvent_Q(model: LinearModel, omegas: np.ndarray) -> np.ndarray:
@@ -109,65 +110,48 @@ def E_matrix_from_lift(model: LinearModel, lift: TiltLift, omega: float) -> np.n
     return model.Q.T @ np.linalg.solve(model.A.T - 1j * omega * eye, inner)
 
 
-def _zeta_norm(model: LinearModel, xi: np.ndarray) -> float:
-    return float(np.abs(np.asarray(xi) * model.theta).max())
-
-
-def _omega_cutoff(model: LinearModel, xi: np.ndarray) -> float:
-    """Frequency beyond which the decay bound keeps ``I - E`` positive.
-
-    For ``|omega| > 2 ||A||`` the resolvent bound gives
-    ``||E|| <= 2 z c + z c^2`` with ``c = 2 a / |omega|``,
-    ``a = ||theta^{-1}|| ||Q||^2`` and ``z = ||zeta||``; solving for the
-    radius where the bound drops below one yields a certified cutoff.
-    """
-    z = _zeta_norm(model, xi)
-    a = float(np.abs(model.theta_inv).max() * np.linalg.norm(model.Q, 2) ** 2)
-    norm_A = float(np.linalg.norm(model.A, 2))
-    if z == 0.0 or a == 0.0:
-        return 2.0 * norm_A + 1.0
-    # bound(omega) = 4 a z x + 4 a^2 z x^2 with x = 1/omega; root of bound = 1
-    x_star = (-z + np.sqrt(z * z + z)) / (2.0 * a * z)
-    return 1.01 * max(2.0 * norm_A, 1.0 / x_star)
-
-
-def domain_margin(model: LinearModel, xi: np.ndarray,
-                  grid: int = DOMAIN_GRID) -> float:
+def domain_margin(model: LinearModel, xi: np.ndarray) -> float:
     """Infimum over frequency of the smallest eigenvalue of ``I - E``.
 
-    Positive margin means the tilt lies in the open essential domain.  This
-    is a diagnostic: membership itself is decided by :func:`in_domain`.  The
-    search runs on a tangent-compactified grid over the certified window
-    (the response is even in frequency up to conjugation) and refines every
-    local minimum by bounded scalar minimization.
+    Positive margin means the tilt lies in the open essential domain; this
+    is a diagnostic, membership itself is decided by :func:`in_domain`.
+    ``E`` is linear in the tilt and vanishes on the lineality space, so the
+    margin is ``1 - gamma``, ``gamma`` the supremum of the largest eigenvalue
+    of ``E`` at the section component.  The level-set iteration for the
+    H-infinity norm (Boyd-Balakrishnan; Bruinsma-Steinbuch, 1990) finds it:
+    by the determinant identity of :func:`in_domain`, the doubled matrix of
+    the component scaled by ``1 / gamma`` has eigenvalues ``i omega`` at
+    the frequencies where an eigenvalue of ``E`` crosses ``gamma``, and the
+    level rises to the peak of ``E`` between crossings until none is left.
     """
     xi = np.asarray(xi, dtype=float)
-    if _zeta_norm(model, xi) == 0.0:
+    section = lineality_space(model).project(xi)
+    # a section component at the round-off level of the projection is zero
+    if np.linalg.norm(section) <= 1e-12 * np.linalg.norm(xi):
         return 1.0
-    s = model.omega_scale
-    u_max = float(np.arctan(_omega_cutoff(model, xi) / s))
-    us = np.linspace(0.0, u_max, grid)
-    margins = np.linalg.eigvalsh(
-        np.eye(model.d)[None, :, :] - _E_batch(model, xi, s * np.tan(us)))[:, 0]
 
-    def margin_at(u: float) -> float:
-        E = E_matrix(model, xi, s * np.tan(u))
-        return float(np.linalg.eigvalsh(np.eye(model.d) - E)[0])
+    def top(omegas: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(_E_batch(model, section, omegas))[:, -1].max())
 
-    best = float(margins.min())
-    interior = np.nonzero(
-        (margins[1:-1] <= margins[:-2]) & (margins[1:-1] <= margins[2:]))[0] + 1
-    candidates = set(interior.tolist()) | {0, grid - 1}
-    for k in candidates:
-        lo = us[max(k - 1, 0)]
-        hi = us[min(k + 1, grid - 1)]
-        if hi <= lo:
-            continue
-        res = scipy.optimize.minimize_scalar(
-            margin_at, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-6 * u_max})
-        best = min(best, float(res.fun))
-    return best
+    # start at zero frequency and at the drift resonances, where the
+    # response peaks for weak damping
+    gamma = top(np.concatenate([[0.0], np.abs(model.spectrum.imag)]))
+    if gamma <= 0.0:
+        raise NumericalError("no positive start level for the domain margin")
+    for _ in range(MAX_LEVELS):
+        # just above the level, so that a tangent crossing at the supremum
+        # leaves the imaginary axis
+        ham = hamiltonian(model, section / (gamma * (1.0 + 1e-13)))
+        eigs = ham.eigenvalues
+        crossings = np.unique(np.abs(eigs[on_axis(ham.K, eigs.real)].imag))
+        if len(crossings) < 2:
+            return 1.0 - gamma
+        peak = top(0.5 * (crossings[1:] + crossings[:-1]))
+        if peak <= gamma:
+            return 1.0 - gamma
+        gamma = peak
+    raise ConvergenceError(
+        f"domain margin level still rising after {MAX_LEVELS} steps")
 
 
 def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
@@ -180,7 +164,7 @@ def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
     behind the Boyd-Balakrishnan-Kabamba bisection for the H-infinity norm).
     """
     ham = hamiltonian(model, xi)
-    return not on_axis(ham.K, ham.eigenvalues.real)
+    return not on_axis(ham.K, ham.eigenvalues.real).any()
 
 
 def in_domain_D(model: LinearModel, xi: np.ndarray) -> tuple[bool, float]:
@@ -190,14 +174,15 @@ def in_domain_D(model: LinearModel, xi: np.ndarray) -> tuple[bool, float]:
 
 @dataclass(eq=False)
 class DomainGeometry:
-    """Lineality space, section frame and radial cache of the domain.
+    """Lineality space and section frame of the domain.
 
     ``L_basis`` rows span the conserved directions (the all-ones vector is
     always the first row); ``Pi`` projects orthogonally onto their
     complement, where ``frame`` rows form an orthonormal basis whose first
     vector points along the projected inverse temperatures whenever that
     projection is nonzero.  ``center`` is the projected symmetry center of
-    the domain.
+    the domain.  ``_sinf_table`` holds the sampled finite-region boundary
+    once the rate function has built it.
     """
 
     L_basis: np.ndarray
@@ -205,7 +190,7 @@ class DomainGeometry:
     center: np.ndarray
     frame: np.ndarray
     L_lifts: tuple[np.ndarray, ...]
-    _radial: dict = field(default_factory=dict, repr=False)
+    _sinf_table: object = field(default=None, repr=False)
 
     @property
     def dim_L(self) -> int:
@@ -256,6 +241,7 @@ def _complete_orthonormal(seeds: list[np.ndarray], target: int,
     return np.array(basis).reshape(target, d)
 
 
+@lru_cache(maxsize=64)
 def lineality_space(model: LinearModel) -> DomainGeometry:
     """Conserved tilt directions and the induced section geometry.
 
@@ -265,7 +251,8 @@ def lineality_space(model: LinearModel) -> DomainGeometry:
     frequencies and extracting the common null space by singular value
     threshold.  The threshold is absolute, scaled to the model: with a
     single reservoir the whole stack is round-off, and a cut relative to its
-    largest singular value would count that round-off as rank.
+    largest singular value would count that round-off as rank.  Models are
+    immutable and hashed by identity, so the geometry is memoized.
     """
     d, s = model.d, model.omega_scale
     freqs = np.concatenate([[0.0], np.geomspace(0.1 * s, 10.0 * s, 4 * model.n + 1)])
@@ -586,8 +573,26 @@ def lambda_pm(model: LinearModel, xi: np.ndarray,
 # section geometry
 
 
-def _radial_key(u: np.ndarray) -> tuple:
-    return tuple(np.round(u, 12))
+def _ray_exit(member, lo: float, hi: float, tol: float,
+              grow: bool = True) -> float:
+    """Radius where ``member`` turns false along a ray, to within ``tol / 2``.
+
+    With ``grow``, ``hi`` doubles while it is still a member; then the
+    bracket ``[lo, hi]`` is bisected down to width ``tol`` and its midpoint
+    returned.  Convexity along the ray guarantees a single crossing.
+    """
+    while grow and member(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > 1e6:
+            raise ConvergenceError("bracket exhaustion along the ray")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def section_boundary(model: LinearModel, geometry: DomainGeometry,
@@ -604,27 +609,8 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
         raise SpecificationError("direction must be a unit vector")
     if np.linalg.norm(geometry.L_basis @ u) > 1e-8:
         raise SpecificationError("direction must be orthogonal to the lineality space")
-    key = (_radial_key(u), tol)
-    cached = geometry._radial.get(key)
-    if cached is not None:
-        return cached
     center = geometry.center
-    lo, hi = 0.0, 1.0
-    while in_domain(model, center + hi * u):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise ConvergenceError(
-                "bracket exhaustion while searching the section boundary")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if in_domain(model, center + mid * u):
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    geometry._radial[key] = r
-    return r
+    return _ray_exit(lambda t: in_domain(model, center + t * u), 0.0, 1.0, tol)
 
 
 def sinf_margin(model: LinearModel, geometry: DomainGeometry,
@@ -688,36 +674,15 @@ def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,
     u = np.asarray(u, dtype=float)
 
     def member(t: float) -> bool:
-        if t <= 0.0:
-            return True
         xi = t * u
         return (in_domain(model, xi)
                 and sinf_margin(model, geometry, xi, inward=-u) > 0.0)
 
-    lo, hi = 0.0, 0.5
-    if bracket_hint is not None and bracket_hint > 0.0:
-        below, above = 0.95 * bracket_hint, 1.05 * bracket_hint
-        if member(below) and not member(above):
-            lo, hi = below, above
-        elif not member(below):
-            lo, hi = 0.0, below
-        else:
-            lo, hi = above, 2.0 * above
-            while member(hi):
-                lo = hi
-                hi *= 2.0
-                if hi > 1e6:
-                    raise ConvergenceError("bracket exhaustion on the finite region")
-    else:
-        while member(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > 1e6:
-                raise ConvergenceError("bracket exhaustion on the finite region")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if bracket_hint is None or bracket_hint <= 0.0:
+        return _ray_exit(member, 0.0, 0.5, tol)
+    below, above = 0.95 * bracket_hint, 1.05 * bracket_hint
+    if not member(below):
+        return _ray_exit(member, 0.0, below, tol, grow=False)
+    if not member(above):
+        return _ray_exit(member, below, above, tol, grow=False)
+    return _ray_exit(member, above, 2.0 * above, tol)

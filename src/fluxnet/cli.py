@@ -117,6 +117,10 @@ def _emit(args, manifest: Manifest, columns: list[str], rows: list[list],
         for key, value in (footer or {}).items():
             lines.append(f"# {key}={_fmt(value)}")
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -135,7 +139,7 @@ def _load(args) -> tuple[LinearModel, DomainGeometry]:
 
 
 def cmd_validate(args) -> int:
-    manifest = Manifest("validate", args.spec, tol=args.tol)
+    manifest = Manifest("validate", args.spec)
     spec = load_spec(args.spec)
     model = assemble_model(spec)
     controllable, rank = kalman_controllable(model)
@@ -151,12 +155,7 @@ def cmd_validate(args) -> int:
         lines.append(f"equilibrium: {'yes' if equilibrium else 'no'}")
         lines.append(f"entropy production rate: {float(ep.ep)!r}")
         lines.append("mean flux: " + " ".join(repr(float(v)) for v in ep.mean_flux))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return 0 if controllable else 1
 
 
@@ -164,10 +163,7 @@ def cmd_gap_scan(args) -> int:
     manifest = Manifest("gap-scan", args.spec, dirs=args.dirs, tol=args.tol)
     model, geometry = _load(args)
     scan = condition_R_scan(model, geometry, args.dirs, tol=args.tol)
-    k = geometry.section_dim
-    if k == 2:
-        polar_cols = ["angle"]
-    elif k == 3:
+    if geometry.section_dim == 3:
         polar_cols = ["azimuth", "polar", "disk_x", "disk_y"]
     else:
         polar_cols = ["angle"]
@@ -198,8 +194,7 @@ def _phi_grid(model: LinearModel, geometry: DomainGeometry,
 
 
 def cmd_rate(args) -> int:
-    manifest = Manifest("rate", args.spec, grid=args.grid, extent=args.extent,
-                        tol=args.tol)
+    manifest = Manifest("rate", args.spec, grid=args.grid, extent=args.extent)
     model, geometry = _load(args)
     geometry.require_section()
     coords = _phi_grid(model, geometry, args.grid, args.extent)
@@ -272,7 +267,7 @@ def _default_tilts(model: LinearModel, geometry: DomainGeometry) -> list[np.ndar
 
 def cmd_simulate(args) -> int:
     manifest = Manifest("simulate", args.spec, seed=args.seed, traj=args.traj,
-                        T=args.T, h=args.h, tol=args.tol)
+                        T=args.T, h=args.h)
     model, geometry = _load(args)
     if args.tilts:
         tilts = []
@@ -334,25 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonic networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    unused_tol = "not used by this subcommand; only recorded in the manifest"
-
-    def common(p, tol_help=unused_tol):
+    def common(p):
         p.add_argument("spec", help="network description file (JSON)")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of CSV")
-        p.add_argument("--tol", type=float, default=1e-6, help=tol_help)
 
-    section_tol = ("width to which the bisection of each section radius is "
-                   "carried; the reported radius lies within tol/2 of the "
-                   "domain boundary (default 1e-6)")
+    def section_tol(p):
+        p.add_argument("--tol", type=float, default=1e-6,
+                       help="width to which the bisection of each section "
+                            "radius is carried; the reported radius lies "
+                            "within tol/2 of the domain boundary "
+                            "(default 1e-6)")
 
     p = sub.add_parser("validate", help="check a network description")
     common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gap-scan", help="spectral gap on the section boundary")
-    common(p, tol_help=section_tol)
+    common(p)
+    section_tol(p)
     p.add_argument("--dirs", type=int, default=64, help="scan directions")
     p.set_defaults(func=cmd_gap_scan)
 
@@ -364,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("cgf", help="cumulant generating function scan")
-    common(p, tol_help=section_tol)
+    common(p)
+    section_tol(p)
     p.add_argument("--xi", help="single tilt, comma separated components")
     p.add_argument("--dirs", type=int, default=16,
                    help="section directions (the same directions as gap-scan)")

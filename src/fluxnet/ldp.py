@@ -114,8 +114,6 @@ def _f0_margin(model: LinearModel, geometry: DomainGeometry,
 
 
 def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
-    if k == 1:
-        return np.array([1.0 if angles[0] < np.pi / 2 else -1.0])
     if k == 2:
         return np.array([np.cos(angles[0]), np.sin(angles[0])])
     az, pol = angles
@@ -125,7 +123,8 @@ def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
 
 
 class _BoundaryTable:
-    """Sampled boundary of the finite region: rays from the origin.
+    """Sampled boundary of the finite region: rays from the origin along
+    the scan directions of :func:`_scan_directions`.
 
     Radii are found by bisection with bracket hints chained from the
     previous ray, and the Riccati value of g is stored per sample.  Built
@@ -138,20 +137,15 @@ class _BoundaryTable:
 
     def __init__(self, model: LinearModel, geometry: DomainGeometry):
         k = geometry.section_dim
-        if k == 2:
-            self.angles = [np.array([a]) for a in
-                           np.linspace(0.0, 2.0 * np.pi, self.COUNT_2D,
-                                       endpoint=False)]
-        elif k == 3:
-            self.angles = _fibonacci_angles(self.COUNT_3D)
-        else:
-            self.angles = [np.array([0.0]), np.array([np.pi])]
-        self.xi = np.empty((len(self.angles), model.d))
-        self.g = np.empty(len(self.angles))
-        self.radius = np.empty(len(self.angles))
+        dirs, polar = _scan_directions(k, self.COUNT_3D if k == 3 else self.COUNT_2D)
+        # (angle) or (azimuth, polar) of each ray, where the refinement starts
+        self.angles = polar[:, :2]
+        self.xi = np.empty((len(dirs), model.d))
+        self.g = np.empty(len(dirs))
+        self.radius = np.empty(len(dirs))
         hint = None
-        for idx, angles in enumerate(self.angles):
-            xi, r, g_val = _boundary_point(model, geometry, angles, hint)
+        for idx, direction in enumerate(dirs):
+            xi, r, g_val = _boundary_point(model, geometry, direction, hint)
             self.xi[idx] = xi
             self.radius[idx] = r
             self.g[idx] = g_val
@@ -159,9 +153,9 @@ class _BoundaryTable:
 
 
 def _boundary_point(model: LinearModel, geometry: DomainGeometry,
-                    angles: np.ndarray, hint: float | None = None,
+                    direction: np.ndarray, hint: float | None = None,
                     tol: float = 1e-7) -> tuple[np.ndarray, float, float]:
-    u = geometry.from_frame(_dir_from_angles(angles, geometry.section_dim))
+    u = geometry.from_frame(direction)
     r = section_inf_boundary(model, geometry, u, tol=tol, bracket_hint=hint)
     xi = r * u
     return xi, r, TiltState(model, xi, inward=-u).g
@@ -169,9 +163,9 @@ def _boundary_point(model: LinearModel, geometry: DomainGeometry,
 
 def _boundary_table(model: LinearModel,
                     geometry: DomainGeometry) -> _BoundaryTable:
-    if "sinf_table" not in geometry._radial:
-        geometry._radial["sinf_table"] = _BoundaryTable(model, geometry)
-    return geometry._radial["sinf_table"]
+    if geometry._sinf_table is None:
+        geometry._sinf_table = _BoundaryTable(model, geometry)
+    return geometry._sinf_table
 
 
 def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
@@ -183,7 +177,8 @@ def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
     best = int(np.argmax(values))
 
     def objective(angles: np.ndarray, hint: float) -> tuple[float, np.ndarray]:
-        xi, r, g_val = _boundary_point(model, geometry, angles, hint)
+        xi, r, g_val = _boundary_point(model, geometry,
+                                       _dir_from_angles(angles, k), hint)
         return float(xi @ phi) - g_val, xi
 
     if k == 1:
@@ -196,16 +191,13 @@ def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
             lambda a: -objective(np.array([a]), table.radius[best])[0],
             bounds=(a0 - span, a0 + span),
             method="bounded", options={"xatol": 1e-7})
-        value, xi = objective(np.array([float(res.x)]), table.radius[best])
-        if values[best] > value:
-            return float(values[best]), table.xi[best]
-        return value, xi
-
-    res = scipy.optimize.minimize(
-        lambda a: -objective(a, table.radius[best])[0],
-        table.angles[best], method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 200})
-    value, xi = objective(res.x, table.radius[best])
+        angles = np.array([float(res.x)])
+    else:
+        angles = scipy.optimize.minimize(
+            lambda a: -objective(a, table.radius[best])[0],
+            table.angles[best], method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 200}).x
+    value, xi = objective(angles, table.radius[best])
     if values[best] > value:
         return float(values[best]), table.xi[best]
     return value, xi
@@ -362,7 +354,7 @@ def _scan_directions(k: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray]:
         polar = np.array([[0.0], [np.pi]])
         return dirs, polar
     if k == 2:
-        angles = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+        angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         return dirs, angles[:, None]
     angles = _fibonacci_angles(n_dirs)

@@ -314,16 +314,6 @@ class TiltLift:
     xi_tilde: np.ndarray
     sigma: np.ndarray
 
-    def quad_q(self, x: np.ndarray) -> np.ndarray:
-        """Boundary-term quadratic form x . xi_tilde x / 2."""
-        x = np.asarray(x)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, self.xi_tilde, x)
-
-    def quad_sigma(self, x: np.ndarray) -> np.ndarray:
-        """Flux-density quadratic form x . sigma x / 2."""
-        x = np.asarray(x)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, self.sigma, x)
-
 
 def canonical_lift(model: LinearModel, xi: np.ndarray) -> TiltLift:
     """Minimal block-diagonal lift of a tilt vector.

@@ -91,14 +91,16 @@ def steady_covariance(model: LinearModel) -> SteadyState:
     return solve_lyapunov(model.A, model.B)
 
 
-def on_axis(K: np.ndarray, real_parts: np.ndarray) -> bool:
-    """Whether an eigenvalue of ``K``, given by the real parts of the
-    spectrum, lies on the imaginary axis in the sense of ``AXIS_RTOL``."""
-    min_re = float(np.abs(real_parts).min())
+def on_axis(K: np.ndarray, real_parts: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues of ``K``, given by the real parts of the
+    spectrum, that lie on the imaginary axis in the sense of ``AXIS_RTOL``."""
+    size = np.abs(real_parts)
     # ||K||_2 <= ||K||_F, so the SVD is needed only when the cheap bound
     # does not decide
-    return (min_re <= AXIS_RTOL * np.linalg.norm(K)
-            and min_re <= AXIS_RTOL * np.linalg.norm(K, 2))
+    mask = size <= AXIS_RTOL * np.linalg.norm(K)
+    if mask.any():
+        mask &= size <= AXIS_RTOL * np.linalg.norm(K, 2)
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +207,7 @@ def riccati_maximal(model: LinearModel, xi: np.ndarray) -> RiccatiSolution:
         T, Z, sdim = sla.schur(K, output="real", sort=lambda re, im: re > 0.0)
     except sla.LinAlgError as exc:
         raise RiccatiError(f"ordered Schur factorization failed: {exc}") from exc
-    if on_axis(K, np.diag(T)):
+    if on_axis(K, np.diag(T)).any():
         raise RiccatiError(
             "doubled matrix has imaginary-axis eigenvalues "
             f"(|Re| = {np.abs(np.diag(T)).min():.2e}); "

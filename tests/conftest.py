@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from fluxnet import assemble_model, kalman_controllable, lineality_space, parse_spec
 
@@ -150,6 +151,44 @@ def heatpump_geometry(heatpump):
 def random_tilt_in_D0(rng, model):
     """Uniform draw from the open box between zero and the inverse temperatures."""
     return rng.uniform(0.02, 0.98, size=model.d) * model.theta_inv
+
+
+def sampled_domain_margin(model, xi, grid=129):
+    """Frequency-domain reference for ``cgf.domain_margin``: the smallest
+    eigenvalue of ``I - E(omega)`` on a tangent-compactified grid over a
+    certified frequency window, every local minimum refined by bounded
+    scalar minimization."""
+    from fluxnet.cgf import E_matrix, _E_batch
+
+    xi = np.asarray(xi, dtype=float)
+    z = float(np.abs(xi * model.theta).max())
+    if z == 0.0:
+        return 1.0
+    # beyond this frequency the resolvent bound ||E|| <= 4 a z / w +
+    # 4 a^2 z / w^2 keeps I - E positive
+    a = float(np.abs(model.theta_inv).max() * np.linalg.norm(model.Q, 2) ** 2)
+    x_star = (-z + np.sqrt(z * z + z)) / (2.0 * a * z)
+    cutoff = 1.01 * max(2.0 * float(np.linalg.norm(model.A, 2)), 1.0 / x_star)
+    s = model.omega_scale
+    u_max = float(np.arctan(cutoff / s))
+    us = np.linspace(0.0, u_max, grid)
+    eye = np.eye(model.d)
+    margins = np.linalg.eigvalsh(eye[None] - _E_batch(model, xi, s * np.tan(us)))[:, 0]
+
+    def margin_at(u):
+        return float(np.linalg.eigvalsh(eye - E_matrix(model, xi, s * np.tan(u)))[0])
+
+    best = float(margins.min())
+    interior = np.nonzero(
+        (margins[1:-1] <= margins[:-2]) & (margins[1:-1] <= margins[2:]))[0] + 1
+    for k in set(interior.tolist()) | {0, grid - 1}:
+        lo, hi = us[max(k - 1, 0)], us[min(k + 1, grid - 1)]
+        if hi > lo:
+            res = scipy.optimize.minimize_scalar(
+                margin_at, bounds=(lo, hi), method="bounded",
+                options={"xatol": 1e-6 * u_max})
+            best = min(best, float(res.fun))
+    return best
 
 
 def gap_arc_probe(model, geometry, angle, h=1e-5):

@@ -34,9 +34,10 @@ from fluxnet.cgf import (
     sinf_margin,
 )
 
-from conftest import random_tilt_in_D0, two_dimers_doc
+from conftest import random_tilt_in_D0, sampled_domain_margin, two_dimers_doc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
+CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 
 class TestResponseMatrix:
@@ -103,7 +104,7 @@ class TestDomain:
         "triangular_1_2_64", "heatpump_10_3.6_7_6.8", "heatpump_40_3.6_7_6.8"])
     def test_spectral_verdict_matches_margin(self, name):
         # the exact test must agree with the sampled frequency minimization
-        # wherever the latter is unambiguous
+        # of the reference wherever the latter is unambiguous
         model = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
         geom = lineality_space(model)
         rng = np.random.default_rng(11)
@@ -115,12 +116,50 @@ class TestDomain:
             offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, -0.5)
             r = section_boundary(model, geom, u, tol=1e-9) * (1.0 + offset)
             xi = geom.center + r * u + rng.normal(size=geom.dim_L) @ geom.L_basis
-            margin = domain_margin(model, xi)
+            margin = sampled_domain_margin(model, xi)
             if abs(margin) < 1e-6:
                 continue
             assert in_domain(model, xi) == (margin > 0.0), (xi, margin)
             verdicts.append(margin > 0.0)
         assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_margin_matches_sampled_reference(self, name):
+        # the level-set iteration against the sampled frequency search, at
+        # tilts inside and outside the domain, shifted along conserved
+        # directions
+        model = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+        geom = lineality_space(model)
+        rng = np.random.default_rng(12)
+        signs = []
+        for _ in range(8):
+            dc = rng.normal(size=geom.section_dim)
+            u = geom.from_frame(dc / np.linalg.norm(dc))
+            r = section_boundary(model, geom, u) * rng.uniform(0.3, 1.7)
+            xi = geom.center + r * u + rng.normal(size=geom.dim_L) @ geom.L_basis
+            margin = domain_margin(model, xi)
+            assert abs(margin - sampled_domain_margin(model, xi)) < 1e-8
+            signs.append(margin > 0.0)
+        assert any(signs) and not all(signs)
+
+    def test_conserved_tilts_have_unit_margin(self, lozenge_124):
+        assert domain_margin(lozenge_124, np.ones(3)) == 1.0
+        m = assemble_model(parse_spec(two_dimers_doc()))
+        assert domain_margin(m, 50.0 * lineality_space(m).L_basis[1]) == 1.0
+
+    def test_margin_shift_invariant_and_homogeneous(self, lozenge_124,
+                                                    heatpump):
+        # E is linear in the tilt and vanishes on the all-ones direction
+        rng = np.random.default_rng(13)
+        for m in (lozenge_124, heatpump):
+            for _ in range(4):
+                xi = rng.normal(size=m.d) * m.theta_inv
+                margin = domain_margin(m, xi)
+                shifted = domain_margin(m, xi + 2048.0 * np.ones(m.d))
+                assert abs(shifted - margin) < 1e-12
+                doubled = domain_margin(m, 2.0 * xi)
+                gap = 1.0 - margin
+                assert abs((1.0 - doubled) - 2.0 * gap) < 1e-12 * (1.0 + abs(gap))
 
 
 class TestLineality:

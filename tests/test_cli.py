@@ -177,6 +177,14 @@ class TestTolerance:
                                axis=1)
         assert 0.0 < shift.max() <= 1e-3
 
+    @pytest.mark.parametrize("command", ["validate", "rate", "simulate"])
+    def test_tol_only_on_section_scans(self, command, capsys):
+        # the other subcommands have no section radius for it to set
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(CONFIGS / "lozenge_1_2_4.json"), "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestSingleReservoir:
     """Every subcommand answers or exits with a typed error on d = 1."""
