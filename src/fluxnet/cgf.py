@@ -162,8 +162,11 @@ def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
     positive definite at every frequency exactly when the doubled matrix
     ``K`` of the tilt has no eigenvalue on the imaginary axis (the test
     behind the Boyd-Balakrishnan-Kabamba bisection for the H-infinity norm).
+    ``E`` vanishes on the lineality space, so the test is made at the
+    section component of the tilt: a conserved part leaves ``E`` unchanged
+    but grows ``K`` and with it the on-axis cut of :func:`on_axis`.
     """
-    ham = hamiltonian(model, xi)
+    ham = hamiltonian(model, lineality_space(model).project(xi))
     return not on_axis(ham.K, ham.eigenvalues.real).any()
 
 
@@ -256,16 +259,11 @@ def lineality_space(model: LinearModel) -> DomainGeometry:
     """
     d, s = model.d, model.omega_scale
     freqs = np.concatenate([[0.0], np.geomspace(0.1 * s, 10.0 * s, 4 * model.n + 1)])
-    rows = []
-    for w in freqs:
-        # one basis tilt at a time: build the (2 d^2, d) real block
-        block = np.empty((2 * d * d, d))
-        for j in range(d):
-            Ej = E_matrix(model, np.eye(d)[j], w)
-            block[:d * d, j] = Ej.real.ravel()
-            block[d * d:, j] = Ej.imag.ravel()
-        rows.append(block)
-    stacked = np.vstack(rows)
+    # column j holds the responses of the j-th basis tilt; each frequency
+    # contributes a (2 d^2, d) real block
+    E = np.stack([_E_batch(model, e, freqs) for e in np.eye(d)], axis=-1)
+    E = E.reshape(len(freqs), d * d, d)
+    stacked = np.concatenate([E.real, E.imag], axis=1).reshape(-1, d)
     U, svals, Vt = np.linalg.svd(stacked)
     cut = LINEALITY_RTOL * max(float(svals[0]), float(model.theta.max()))
     rank = int(np.sum(svals > cut))
@@ -296,11 +294,11 @@ def lineality_space(model: LinearModel) -> DomainGeometry:
 def _g_integral(model: LinearModel, xi: np.ndarray) -> float:
     eye = np.eye(model.d)
 
-    def integrand(w: float) -> float:
-        lam = np.linalg.eigvalsh(eye - E_matrix(model, xi, w))
-        if lam[0] <= 0.0:
+    def integrand(omegas: np.ndarray) -> np.ndarray:
+        lam = np.linalg.eigvalsh(eye - _E_batch(model, xi, omegas))
+        if (lam[:, 0] <= 0.0).any():
             raise DomainError("tilt outside the open domain; integral route invalid")
-        return -float(np.log(lam).sum())
+        return -np.log(lam).sum(axis=1)
 
     value, _ = integrate_frequency(integrand, model.omega_scale)
     return value / (4.0 * np.pi)
@@ -544,13 +542,13 @@ def g_hessian_quadform(model: LinearModel, xi: np.ndarray,
     eta = np.asarray(eta, dtype=float)
     eye = np.eye(model.d)
 
-    def integrand(w: float) -> float:
-        lam, U = np.linalg.eigh(eye - E_matrix(model, xi, w))
-        if lam[0] <= 0.0:
+    def integrand(omegas: np.ndarray) -> np.ndarray:
+        lam, U = np.linalg.eigh(eye - _E_batch(model, xi, omegas))
+        if (lam[:, 0] <= 0.0).any():
             raise DomainError("tilt outside the open domain")
-        W = (U / np.sqrt(lam)) @ U.conj().T
-        G = W @ E_matrix(model, eta, w) @ W
-        return float(np.trace(G @ G).real)
+        W = (U / np.sqrt(lam)[:, None, :]) @ np.conjugate(np.swapaxes(U, 1, 2))
+        G = W @ _E_batch(model, eta, omegas) @ W
+        return np.einsum("nij,nji->n", G, G).real
 
     value, _ = integrate_frequency(integrand, model.omega_scale)
     return value / (4.0 * np.pi)

@@ -147,6 +147,15 @@ class TestDomain:
         m = assemble_model(parse_spec(two_dimers_doc()))
         assert domain_margin(m, 50.0 * lineality_space(m).L_basis[1]) == 1.0
 
+    def test_large_conserved_tilts_inside(self, lozenge_124):
+        # the conserved part leaves E unchanged but grows the doubled matrix
+        m = assemble_model(parse_spec(two_dimers_doc()))
+        for model, xi in ((lozenge_124, 2048.0 * np.ones(3)),
+                          (m, 8192.0 * lineality_space(m).L_basis[1])):
+            assert in_domain(model, xi)
+            res = g_value(model, xi, method="integral", with_domain_data=False)
+            assert res.in_D and abs(res.g_integral) < 1e-9
+
     def test_margin_shift_invariant_and_homogeneous(self, lozenge_124,
                                                     heatpump):
         # E is linear in the tilt and vanishes on the all-ones direction

@@ -1,5 +1,7 @@
 """Lyapunov, Hamiltonian-matrix, Riccati and quadrature kernels."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fluxnet import (
     commuting_lift,
     hamiltonian,
     integrate_frequency,
+    load_spec,
     matrix_exponential,
     parse_spec,
     riccati_maximal,
@@ -22,10 +25,14 @@ from fluxnet import (
     solve_lyapunov,
     steady_covariance,
 )
-from fluxnet.cgf import E_matrix
-from fluxnet.solvers import tilted_blocks
+from fluxnet import cgf
+from fluxnet.cgf import E_matrix, _E_batch, _g_integral, _g_spectral, in_domain
+from fluxnet.solvers import MAX_PANELS, _gk21_panels, tilted_blocks
 
 from conftest import lozenge_doc, random_network_doc, random_tilt_in_D0
+
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
+CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 
 def _multiset_close(a, b, tol):
@@ -259,19 +266,71 @@ class TestFrequencyQuadrature:
         assert err < 1e-8
 
     def test_zero_function(self):
-        value, _ = integrate_frequency(lambda w: 0.0, scale=2.0)
+        value, _ = integrate_frequency(lambda w: np.zeros_like(w), scale=2.0)
         assert value == 0.0
 
     def test_zero_tilt_log_determinant(self, lozenge_124):
         m = lozenge_124
 
         def f(w):
-            lam = np.linalg.eigvalsh(np.eye(3) - E_matrix(m, np.zeros(3), w))
-            return -float(np.log(lam).sum())
+            lam = np.linalg.eigvalsh(np.eye(3) - _E_batch(m, np.zeros(3), w))
+            return -np.log(lam).sum(axis=1)
 
         value, _ = integrate_frequency(f, scale=m.omega_scale)
         assert abs(value) < 1e-9
 
     def test_scale_must_be_positive(self):
         with pytest.raises(QuadratureError):
-            integrate_frequency(lambda w: 0.0, scale=0.0)
+            integrate_frequency(lambda w: np.zeros_like(w), scale=0.0)
+
+    def test_rule_exact_for_polynomials(self):
+        # on the panel u in [-1, 1], f(s tan u) s / cos(u)^2 = u^k; the
+        # Kronrod rule is exact to degree 31, the embedded Gauss rule to 19
+        s = 1.7
+        for k in range(32):
+            def f(w):
+                u = np.arctan(w / s)
+                return u ** k * np.cos(u) ** 2 / s
+
+            value, error = _gk21_panels(f, s, np.zeros(1), np.ones(1))
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(value[0] - exact) < 1e-14, k
+            if k <= 19:
+                assert error[0] < 1e-13, k
+
+    def test_sharp_peak_raises_at_panel_cap(self):
+        # at omega = 0.3 the nodes are rounded by about 1e-17, too coarse to
+        # resolve a Lorentzian of width 1e-9 to the tolerance: the
+        # quadrature refines up to the cap and raises
+        width, center = 1e-9, 0.3
+
+        def f(w):
+            return width / ((w - center) ** 2 + width * width)
+
+        with pytest.raises(QuadratureError, match=f"{MAX_PANELS} panels"):
+            integrate_frequency(f, scale=1.0)
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_integral_route_matches_spectral(self, name):
+        m = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(4):
+            xi = random_tilt_in_D0(rng, m)
+            if not in_domain(m, xi):
+                continue
+            g = _g_spectral(m, xi)
+            assert abs(_g_integral(m, xi) - g) < 1e-10 * (1.0 + abs(g))
+            checked += 1
+        assert checked > 0
+
+    def test_few_batched_calls(self, lozenge_124, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _E_batch(*args)
+
+        monkeypatch.setattr(cgf, "_E_batch", counted)
+        _g_integral(lozenge_124, np.array([0.1, 0.2, 0.15]))
+        assert 0 < len(calls) <= 12
