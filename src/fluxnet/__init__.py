@@ -44,10 +44,10 @@ from .solvers import (
     steady_covariance,
 )
 from .cgf import (
-    CGFResult,
     DomainGeometry,
     E_matrix,
     LambdaPair,
+    TiltState,
     g_gradient,
     g_hessian_quadform,
     g_value,

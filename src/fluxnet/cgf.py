@@ -43,7 +43,6 @@ from .solvers import (
 __all__ = [
     "DomainGeometry",
     "TiltState",
-    "CGFResult",
     "LambdaPair",
     "E_matrix",
     "E_matrix_from_lift",
@@ -327,14 +326,18 @@ class LambdaPair:
 
 
 class TiltState:
-    """Maximal Riccati solutions ``sol`` at a tilt and ``dual`` at its mirror
-    ``theta^{-1} - xi``, and everything derived from this one pair.
+    """One tilt and everything derived from it, each computed on first read
+    and kept, so a caller that builds one state per tilt solves each Riccati
+    equation once.
 
-    Each quantity is computed on first read and kept, so a caller that
-    builds one state per tilt solves each Riccati equation once.  Where the
-    ordered Schur form fails (a tilt on the domain boundary) the solution
-    is extrapolated along ``inward`` (default: toward the symmetry center
-    ``theta^{-1} / 2``); the mirror uses the opposite direction.
+    The maximal Riccati solutions ``sol`` at the tilt and ``dual`` at its
+    mirror ``theta^{-1} - xi`` give g, its gradient and Hessian, Lambda+-
+    and the finite-region and F0 margins.  Where the ordered Schur form
+    fails (a tilt on the domain boundary) the solution is extrapolated along
+    ``inward`` (default: toward the symmetry center ``theta^{-1} / 2``); the
+    mirror uses the opposite direction.  The domain test ``in_D``, the
+    domain ``margin`` and the other routes to g, ``g_spectral`` and
+    ``g_integral`` (``None`` off the open domain), are kept alongside.
     """
 
     def __init__(self, model: LinearModel, xi: np.ndarray,
@@ -359,11 +362,35 @@ class TiltState:
         return self._solve(self.model.theta_inv - self.xi, -self.inward)
 
     @cached_property
+    def in_D(self) -> bool:
+        return in_domain(self.model, self.xi)
+
+    @cached_property
+    def margin(self) -> float:
+        return domain_margin(self.model, self.xi)
+
+    @cached_property
     def g(self) -> float:
         """g by the Riccati trace formula, on the canonical lift."""
         lift = canonical_lift(self.model, self.xi)
         Q = self.model.Q
         return -0.5 * float(np.trace(Q.T @ (self.sol.X - lift.xi_tilde) @ Q))
+
+    @cached_property
+    def g_spectral(self) -> float:
+        return _g_spectral(self.model, self.xi)
+
+    @cached_property
+    def g_integral(self) -> float | None:
+        """g by the frequency integral, which needs the open domain."""
+        return _g_integral(self.model, self.xi) if self.in_D else None
+
+    def cross_check(self) -> None:
+        """Raise unless the routes to g agree to ``G_AGREE_TOL``."""
+        routes = (self.g_integral, self.g_spectral, self.g)
+        values = [v for v in routes if v is not None]
+        if max(values) - min(values) > G_AGREE_TOL * (1.0 + max(map(abs, values))):
+            raise NumericalError("g routes disagree: {}, {}, {}".format(*routes))
 
     @cached_property
     def Y(self) -> np.ndarray:
@@ -397,10 +424,21 @@ class TiltState:
 
     def sinf_margin(self, geometry: DomainGeometry) -> float:
         """Finite-region margin of the tilt (see :func:`sinf_margin`)."""
-        if geometry.dim_L == 1:
-            return self.lambdas.gap
-        return _shift_ascent(geometry.L_lifts,
-                             [(self.dual.X, -1.0), (self.lower, 1.0)])
+        return _shift_margin(geometry, self.dual.X, self.lower)
+
+    def f0_margin(self, geometry: DomainGeometry) -> float:
+        """Margin for the symmetric sub-family where the local fluctuation
+        relation is proven: one conserved shift places both the tilt and its
+        mirror ``Pi theta^{-1} - xi`` inside the finite region.
+
+        The mirror's pair is this pair moved by the commuting lift ``S`` of
+        the conserved part ``l`` of ``theta^{-1}`` (``X(xi + l) = X(xi) + S``;
+        the closed loop is unchanged), so its obstructions are ``sol.X`` and
+        ``dual.X + M^{-1}``.  Next to those of the tilt, the ones holding the
+        positive ``M^{-1}`` never bind: the margin is that of
+        :meth:`sinf_margin` with ``M^{-1}`` dropped.
+        """
+        return _shift_margin(geometry, self.dual.X, self.sol.X)
 
     def hessian(self, frame: np.ndarray) -> np.ndarray:
         """Hessian of g in the directions of the rows of ``frame``.
@@ -426,44 +464,12 @@ class TiltState:
         return 0.5 * (H + H.T)
 
 
-@dataclass(eq=False)
-class CGFResult:
-    """Cross-validated value of g at one tilt, with domain diagnostics.
+def g_value(model: LinearModel, xi: np.ndarray) -> TiltState:
+    """State of a tilt in the closure of the essential domain.
 
-    ``margin`` is the domain margin of :func:`domain_margin`; ``g_value``
-    computes it only with ``with_domain_data`` or for a tilt outside the
-    open domain, and leaves it ``None`` otherwise.
-    """
-
-    xi: np.ndarray
-    g_integral: float | None
-    g_spectral: float | None
-    g_riccati: float | None
-    grad: np.ndarray | None
-    in_D: bool
-    margin: float | None
-    in_Dinf: bool | None = None
-    Lambda_minus: float | None = None
-    Lambda_plus: float | None = None
-
-    @property
-    def g(self) -> float:
-        for value in (self.g_riccati, self.g_spectral, self.g_integral):
-            if value is not None:
-                return value
-        raise NumericalError("no value of g was computed")
-
-
-def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
-            with_domain_data: bool = True) -> CGFResult:
-    """Evaluate g by the requested route(s).
-
-    ``method`` is one of ``integral``, ``spectral``, ``riccati`` or ``all``;
-    the integral route needs the open domain, the other two extend to its
-    closure.  With ``all``, the three values are cross-checked against each
-    other and a disagreement beyond tolerance raises.  ``with_domain_data``
-    adds the gradient, Lambda+- and the domain margin inside the open
-    domain.
+    Its routes to g (``g``, ``g_spectral`` and, inside the open domain,
+    ``g_integral``), the gradient, Lambda+- and the domain margin are
+    computed when read; :meth:`TiltState.cross_check` compares the routes.
 
     Raises
     ------
@@ -471,47 +477,11 @@ def g_value(model: LinearModel, xi: np.ndarray, method: str = "all",
         If the tilt lies outside the closure of the essential domain (the
         limiting cumulant generating function is infinite there).
     """
-    xi = np.asarray(xi, dtype=float)
-    if method not in ("integral", "spectral", "riccati", "all"):
-        raise SpecificationError(f"unknown method {method!r}")
-    in_D = in_domain(model, xi)
-    margin = domain_margin(model, xi) if with_domain_data or not in_D else None
-    if not in_D and margin < -1e-9:
-        raise DomainError(
-            f"outside essential domain closure (margin {margin:.2e})")
-    if method == "integral" and not in_D:
-        raise DomainError("integral route requires the open domain")
-
     state = TiltState(model, xi)
-    gi = gs = gr = None
-    if method in ("integral", "all") and in_D:
-        gi = _g_integral(model, xi)
-    if method in ("spectral", "all"):
-        gs = _g_spectral(model, xi)
-    if method in ("riccati", "all"):
-        gr = state.g
-
-    if method == "all":
-        values = [v for v in (gi, gs, gr) if v is not None]
-        ref = max(abs(v) for v in values)
-        for a in values:
-            for b in values:
-                if abs(a - b) > G_AGREE_TOL * (1.0 + ref):
-                    raise NumericalError(
-                        f"g routes disagree: {gi}, {gs}, {gr}")
-
-    grad = None
-    lam = None
-    if in_D and with_domain_data:
-        grad = state.grad
-        lam = state.lambdas
-    return CGFResult(
-        xi=xi, g_integral=gi, g_spectral=gs, g_riccati=gr, grad=grad,
-        in_D=in_D, margin=margin,
-        in_Dinf=None if lam is None else lam.in_Dinf,
-        Lambda_minus=None if lam is None else lam.minus,
-        Lambda_plus=None if lam is None else lam.plus,
-    )
+    if not state.in_D and state.margin < -1e-9:
+        raise DomainError(
+            f"outside essential domain closure (margin {state.margin:.2e})")
+    return state
 
 
 def g_gradient(model: LinearModel, xi: np.ndarray) -> np.ndarray:
@@ -624,6 +594,18 @@ def sinf_margin(model: LinearModel, geometry: DomainGeometry,
     all shipped examples).
     """
     return TiltState(model, xi_perp, inward).sinf_margin(geometry)
+
+
+def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
+                  lower: np.ndarray) -> float:
+    """Margin of the best conserved shift ``S`` between two obstructions,
+    ``upper - S`` and ``lower + S`` positive definite: with dim L = 1 the
+    shifts are multiples of the identity and the margin is exactly the sum
+    of the two smallest eigenvalues; otherwise :func:`_shift_ascent`."""
+    if geometry.dim_L == 1:
+        return (float(np.linalg.eigvalsh(upper)[0])
+                + float(np.linalg.eigvalsh(lower)[0]))
+    return _shift_ascent(geometry.L_lifts, [(upper, -1.0), (lower, 1.0)])
 
 
 def _shift_ascent(lifts: tuple[np.ndarray, ...],

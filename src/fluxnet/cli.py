@@ -4,7 +4,8 @@ Subcommands: ``validate``, ``gap-scan``, ``rate``, ``cgf``, ``simulate``.
 Every output starts with ``#``-prefixed manifest lines (command, input
 hash, version, seed, tolerances, wall clock); the data section below them
 is a plain CSV table and is byte-reproducible for identical inputs, flags
-and seed.  ``--json`` mirrors the same content as a JSON document.
+and seed.  ``--json`` mirrors the same content as a JSON document; the
+``validate`` report is plain text and has no JSON form.
 
 Exit codes: 0 success, 1 numerical failure (or failed controllability in
 ``validate``), 2 invalid input.
@@ -143,10 +144,9 @@ def cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     model = assemble_model(spec)
     controllable, rank = kalman_controllable(model)
-    lines = manifest.lines()
-    lines.append(f"oscillators: {model.n}  boundary: {model.d}")
-    lines.append(f"controllability (C): {'OK' if controllable else 'FAILED'} "
-                 f"(rank {rank} of {model.dim})")
+    lines = [f"oscillators: {model.n}  boundary: {model.d}",
+             f"controllability (C): {'OK' if controllable else 'FAILED'} "
+             f"(rank {rank} of {model.dim})"]
     if controllable:
         geometry = lineality_space(model)
         ep = entropy_production(model)
@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
         lines.append(f"equilibrium: {'yes' if equilibrium else 'no'}")
         lines.append(f"entropy production rate: {float(ep.ep)!r}")
         lines.append("mean flux: " + " ".join(repr(float(v)) for v in ep.mean_flux))
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, "\n".join(manifest.lines() + lines) + "\n")
     return 0 if controllable else 1
 
 
@@ -183,6 +183,8 @@ def cmd_gap_scan(args) -> int:
 def _phi_grid(model: LinearModel, geometry: DomainGeometry,
               per_axis: int, extent: float | None) -> np.ndarray:
     """Flux grid in frame coordinates, centered at the mean flux."""
+    if per_axis < 2:
+        raise SpecificationError("need at least 2 grid points per axis")
     mean = entropy_production(model).mean_flux
     center = geometry.to_frame(mean)
     scale = float(np.linalg.norm(mean))
@@ -222,14 +224,17 @@ def cmd_cgf(args) -> int:
                + ["Lambda_minus", "Lambda_plus", "in_Dinf"])
 
     def row_for(xi, dir_index=-1, frac=float("nan")):
-        res = g_value(model, xi, method="all")
-        grad = [float("nan")] * model.d if res.grad is None else list(res.grad)
-        return ([dir_index, frac, *xi, res.margin, res.in_D,
-                 res.g_integral if res.g_integral is not None else float("nan"),
-                 res.g_spectral, res.g_riccati, *grad,
-                 res.Lambda_minus if res.Lambda_minus is not None else float("nan"),
-                 res.Lambda_plus if res.Lambda_plus is not None else float("nan"),
-                 res.in_Dinf if res.in_Dinf is not None else ""])
+        state = g_value(model, xi)
+        state.cross_check()
+        nan = float("nan")
+        if state.in_D:
+            grad, lam = list(state.grad), state.lambdas
+            tail = [lam.minus, lam.plus, lam.in_Dinf]
+        else:
+            grad, tail = [nan] * model.d, [nan, nan, ""]
+        return ([dir_index, frac, *xi, state.margin, state.in_D,
+                 nan if state.g_integral is None else state.g_integral,
+                 state.g_spectral, state.g, *grad, *tail])
 
     rows = []
     if args.xi:
@@ -292,8 +297,7 @@ def cmd_simulate(args) -> int:
         rows.append(["mean_flux", name, stats.mean_flux[i],
                      stats.mean_flux_se[i], analytic[i], dev, "", "", ok])
     for est in stats.cgf:
-        analytic_g = g_value(model, est.tilt, method="riccati",
-                             with_domain_data=False).g
+        analytic_g = g_value(model, est.tilt).g
         ok = est.ci_low <= est.finite_horizon <= est.ci_high
         label = "(" + " ".join(repr(float(v)) for v in est.tilt) + ")"
         rows.append(["cgf", label, est.value, est.ci_low, est.ci_high,
@@ -329,11 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonic networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, table=True):
         p.add_argument("spec", help="network description file (JSON)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of CSV")
+        if table:
+            p.add_argument("--json", action="store_true",
+                           help="emit JSON instead of CSV")
 
     def section_tol(p):
         p.add_argument("--tol", type=float, default=1e-6,
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 1e-6)")
 
     p = sub.add_parser("validate", help="check a network description")
-    common(p)
+    common(p, table=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gap-scan", help="spectral gap on the section boundary")

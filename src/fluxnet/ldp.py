@@ -18,9 +18,7 @@ import scipy.optimize
 from .cgf import (
     DomainGeometry,
     TiltState,
-    _shift_ascent,
     g_gradient,
-    in_domain,
     lambda_pm,
     section_boundary,
     section_inf_boundary,
@@ -83,34 +81,13 @@ class RateResult:
     anomaly: float | None = None
 
 
-def _feasible(model: LinearModel, geometry: DomainGeometry,
-              state: TiltState) -> bool:
-    if not in_domain(model, state.xi):
+def _feasible(geometry: DomainGeometry, state: TiltState) -> bool:
+    if not state.in_D:
         return False
     try:
         return state.sinf_margin(geometry) > 0.0
     except (RiccatiError, NumericalError):
         return False
-
-
-def _f0_margin(model: LinearModel, geometry: DomainGeometry,
-               state: TiltState) -> float:
-    """Feasibility margin for membership of the gradient image in the
-    symmetric sub-family where the local fluctuation relation is proven:
-    the largest conserved-direction shift margin placing both the tilt of
-    ``state`` and its mirror inside the finite region (exact for dim L = 1,
-    coordinate ascent otherwise)."""
-    mirror = TiltState(model, geometry.project(model.theta_inv) - state.xi)
-    if geometry.dim_L == 1:
-        c_ones = float(np.mean(model.theta_inv))
-        lam, lam_m = state.lambdas, mirror.lambdas
-        lo = max(lam.minus, c_ones - lam_m.plus)
-        hi = min(lam.plus, c_ones - lam_m.minus)
-        return hi - lo
-    rep = commuting_lift(model, (geometry.L_basis.T @ geometry.L_basis) @ model.theta_inv)
-    return _shift_ascent(geometry.L_lifts, [
-        (state.dual.X, -1.0), (state.lower, 1.0),
-        (mirror.dual.X - rep, 1.0), (mirror.lower + rep, -1.0)])
 
 
 def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
@@ -279,7 +256,7 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
         for _ in range(40):
             trial = c + t * delta
             trial_state = TiltState(model, geometry.from_frame(trial))
-            if _feasible(model, geometry, trial_state):
+            if _feasible(geometry, trial_state):
                 f_trial = float(trial @ phi_c) - trial_state.g
                 if f_trial >= f_c + ARMIJO * t * float(delta @ grad) - noise:
                     gain = f_trial - f_c
@@ -313,9 +290,9 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
                           grad_residual=float(np.linalg.norm(grad)),
                           iterations=iterations, conjectural_global=True)
 
-    in_f0 = _f0_margin(model, geometry, state) > 0.0
     return RateResult(phi=phi, I_value=f_c, xi_star=state.xi, interior=True,
-                      in_F0=in_f0, grad_residual=float(np.linalg.norm(grad)),
+                      in_F0=state.f0_margin(geometry) > 0.0,
+                      grad_residual=float(np.linalg.norm(grad)),
                       iterations=iterations, conjectural_global=False)
 
 
@@ -323,12 +300,9 @@ def fr_defect(model: LinearModel, geometry: DomainGeometry,
               phi: np.ndarray) -> float:
     """Fluctuation-relation defect ``I(-phi) - I(phi) + <theta^{-1}, phi>``.
 
-    Zero exactly where the universal relation holds.
+    Zero exactly where the universal relation holds; the negated anomaly.
     """
-    phi = np.asarray(phi, dtype=float)
-    plus = _maximize(model, geometry, phi, gtol=1e-9)
-    minus = _maximize(model, geometry, -phi, gtol=1e-9)
-    return minus.I_value - plus.I_value + float(model.theta_inv @ phi)
+    return -rate_function(model, geometry, phi, gtol=1e-9).anomaly
 
 
 @dataclass(eq=False)

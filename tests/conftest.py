@@ -79,6 +79,17 @@ def two_dimers_doc():
     }
 
 
+def dimer_1_64_doc():
+    """Two coupled oscillators, each at its own reservoir, at 1:64."""
+    return {
+        "oscillators": ["o1", "o2"],
+        "kappa_sq": [[1.0, -0.3], [-0.3, 1.0]],
+        "boundary": [{"id": "o1", "gamma": 1.0, "theta": 1.0},
+                     {"id": "o2", "gamma": 1.0, "theta": 64.0}],
+        "temperature_ratios": True,
+    }
+
+
 def random_network_doc(rng, n_max=6):
     """Random SPD stiffness with a random driven subset; retried until
     controllable (dense couplings almost surely are)."""
@@ -206,3 +217,25 @@ def gap_arc_probe(model, geometry, angle, h=1e-5):
         for j in range(geometry.section_dim)])
     eta_frame = -grad / np.linalg.norm(grad)
     return xi_b, geometry.from_frame(eta_frame)
+
+
+def mirror_f0_margin(model, geometry, state):
+    """Reference for ``TiltState.f0_margin``: a second Riccati pair solved at
+    the mirror ``Pi theta^{-1} - xi``, lifted back by the conserved part of
+    ``theta^{-1}``, and the largest shift margin of the four obstructions of
+    the tilt and its mirror (the construction the shift identity replaced)."""
+    from fluxnet import commuting_lift
+    from fluxnet.cgf import TiltState, _shift_ascent
+
+    mirror = TiltState(model, geometry.project(model.theta_inv) - state.xi)
+    if geometry.dim_L == 1:
+        c_ones = float(np.mean(model.theta_inv))
+        lam, lam_m = state.lambdas, mirror.lambdas
+        lo = max(lam.minus, c_ones - lam_m.plus)
+        hi = min(lam.plus, c_ones - lam_m.minus)
+        return hi - lo
+    rep = commuting_lift(model, (geometry.L_basis.T @ geometry.L_basis)
+                         @ model.theta_inv)
+    return _shift_ascent(geometry.L_lifts, [
+        (state.dual.X, -1.0), (state.lower, 1.0),
+        (mirror.dual.X - rep, 1.0), (mirror.lower + rep, -1.0)])

@@ -109,9 +109,10 @@ def test_criterion_03_three_way_g(lozenge_124, triangular_eq, heatpump):
         for m in (lozenge_124, triangular_eq, heatpump):
             for _ in range(50):
                 xi = random_tilt_in_D0(rng, m)
-                res = g_value(m, xi, method="all", with_domain_data=False)
+                res = g_value(m, xi)
+                res.cross_check()
                 assert abs(res.g_integral - res.g_spectral) < 1e-6
-                assert abs(res.g_spectral - res.g_riccati) < 1e-6
+                assert abs(res.g_spectral - res.g) < 1e-6
 
 
 def test_criterion_04_zeros_and_symmetry(lozenge_124, heatpump):
@@ -119,16 +120,12 @@ def test_criterion_04_zeros_and_symmetry(lozenge_124, heatpump):
         rng = np.random.default_rng(1004)
         for m in (lozenge_124, heatpump):
             for xi in (np.zeros(m.d), m.theta_inv):
-                assert abs(g_value(m, xi, method="riccati",
-                                   with_domain_data=False).g) < 1e-8
+                assert abs(g_value(m, xi).g) < 1e-8
             for _ in range(25):
                 xi = random_tilt_in_D0(rng, m)
-                g0 = g_value(m, xi, method="riccati",
-                             with_domain_data=False).g
-                g_mirror = g_value(m, m.theta_inv - xi, method="riccati",
-                                   with_domain_data=False).g
-                g_shift = g_value(m, xi + 0.4 * np.ones(m.d),
-                                  method="riccati", with_domain_data=False).g
+                g0 = g_value(m, xi).g
+                g_mirror = g_value(m, m.theta_inv - xi).g
+                g_shift = g_value(m, xi + 0.4 * np.ones(m.d)).g
                 assert abs(g0 - g_mirror) < 1e-8
                 assert abs(g0 - g_shift) < 1e-8
 
@@ -186,10 +183,8 @@ def test_criterion_07_gradient_hessian_fd(lozenge_124, heatpump,
                 fd = np.empty(m.d)
                 for j in range(m.d):
                     e = np.eye(m.d)[j]
-                    gp = g_value(m, xi + step * e, method="riccati",
-                                 with_domain_data=False).g
-                    gm = g_value(m, xi - step * e, method="riccati",
-                                 with_domain_data=False).g
+                    gp = g_value(m, xi + step * e).g
+                    gm = g_value(m, xi - step * e).g
                     fd[j] = (gp - gm) / (2 * step)
                 assert (np.linalg.norm(fd - grad)
                         < 1e-5 * max(1e-3, np.linalg.norm(grad)))
@@ -199,11 +194,9 @@ def test_criterion_07_gradient_hessian_fd(lozenge_124, heatpump,
                 eta /= np.linalg.norm(eta)
                 quad = g_hessian_quadform(m, xi, eta)
                 h2 = 5e-4
-                g0 = g_value(m, xi, method="riccati", with_domain_data=False).g
-                gp = g_value(m, xi + h2 * eta, method="riccati",
-                             with_domain_data=False).g
-                gm = g_value(m, xi - h2 * eta, method="riccati",
-                             with_domain_data=False).g
+                g0 = g_value(m, xi).g
+                gp = g_value(m, xi + h2 * eta).g
+                gm = g_value(m, xi - h2 * eta).g
                 fd2 = (gp - 2 * g0 + gm) / h2 ** 2
                 assert quad > 0.0
                 assert abs(fd2 - quad) < 1e-4 * abs(quad)
@@ -275,8 +268,7 @@ def test_criterion_10_fluctuation_relation(heatpump, heatpump_geometry,
         for angle in (0.55, 0.7, 0.85, 1.0, 1.1):
             xi_b, eta = gap_arc_probe(m2, geom2, angle)
             phi0 = g_gradient(m2, xi_b)
-            g_b = g_value(m2, xi_b, method="riccati",
-                          with_domain_data=False).g
+            g_b = g_value(m2, xi_b).g
             for lam in (0.1, 0.5, 1.0):
                 res = rate_function(m2, geom2, phi0 + lam * eta,
                                     with_anomaly=False)
@@ -324,8 +316,7 @@ def test_criterion_12_monte_carlo(lozenge_124, lozenge_124_geometry):
         for est in stats.cgf:
             assert est.reliable
             assert est.ci_low <= est.finite_horizon <= est.ci_high
-            limit = g_value(m, est.tilt, method="riccati",
-                            with_domain_data=False).g
+            limit = g_value(m, est.tilt).g
             g_2T = finite_horizon_cgf(m, est.tilt, 2 * n_steps, step)
             prefactor_T = horizon * (est.finite_horizon - limit)
             prefactor_2T = 2.0 * horizon * (g_2T - limit)

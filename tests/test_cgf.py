@@ -8,8 +8,10 @@ import scipy.optimize
 
 from fluxnet import (
     DomainError,
+    NumericalError,
     assemble_model,
     canonical_lift,
+    commuting_lift,
     g_gradient,
     g_hessian_quadform,
     g_value,
@@ -34,7 +36,13 @@ from fluxnet.cgf import (
     sinf_margin,
 )
 
-from conftest import random_tilt_in_D0, sampled_domain_margin, two_dimers_doc
+from conftest import (
+    dimer_1_64_doc,
+    mirror_f0_margin,
+    random_tilt_in_D0,
+    sampled_domain_margin,
+    two_dimers_doc,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
@@ -153,7 +161,7 @@ class TestDomain:
         for model, xi in ((lozenge_124, 2048.0 * np.ones(3)),
                           (m, 8192.0 * lineality_space(m).L_basis[1])):
             assert in_domain(model, xi)
-            res = g_value(model, xi, method="integral", with_domain_data=False)
+            res = g_value(model, xi)
             assert res.in_D and abs(res.g_integral) < 1e-9
 
     def test_margin_shift_invariant_and_homogeneous(self, lozenge_124,
@@ -214,29 +222,29 @@ class TestGValue:
     def test_zeros(self, lozenge_124, triangular_eq):
         for m in (lozenge_124, triangular_eq):
             for xi in (np.zeros(m.d), m.theta_inv):
-                res = g_value(m, xi, method="all")
-                for val in (res.g_integral, res.g_spectral, res.g_riccati):
+                res = g_value(m, xi)
+                res.cross_check()
+                for val in (res.g_integral, res.g_spectral, res.g):
                     assert abs(val) < 1e-8
 
     def test_three_way_agreement(self, lozenge_124, heatpump):
         rng = np.random.default_rng(6)
         for m in (lozenge_124, heatpump):
             for _ in range(5):
-                res = g_value(m, random_tilt_in_D0(rng, m), method="all")
-                ref = 1.0 + abs(res.g_riccati)
+                res = g_value(m, random_tilt_in_D0(rng, m))
+                res.cross_check()
+                ref = 1.0 + abs(res.g)
                 assert abs(res.g_integral - res.g_spectral) < 1e-6 * ref
-                assert abs(res.g_spectral - res.g_riccati) < 1e-6 * ref
+                assert abs(res.g_spectral - res.g) < 1e-6 * ref
 
     def test_mirror_symmetry_and_translation(self, lozenge_124):
         m = lozenge_124
         rng = np.random.default_rng(7)
         for _ in range(5):
             xi = random_tilt_in_D0(rng, m)
-            g0 = g_value(m, xi, method="riccati", with_domain_data=False).g
-            g_mirror = g_value(m, m.theta_inv - xi, method="riccati",
-                               with_domain_data=False).g
-            g_shift = g_value(m, xi + 0.21 * np.ones(3), method="riccati",
-                              with_domain_data=False).g
+            g0 = g_value(m, xi).g
+            g_mirror = g_value(m, m.theta_inv - xi).g
+            g_shift = g_value(m, xi + 0.21 * np.ones(3)).g
             assert abs(g0 - g_mirror) < 1e-8 * (1 + abs(g0))
             assert abs(g0 - g_shift) < 1e-8 * (1 + abs(g0))
 
@@ -245,10 +253,9 @@ class TestGValue:
         rng = np.random.default_rng(8)
         for _ in range(5):
             x1, x2 = (random_tilt_in_D0(rng, m) for _ in range(2))
-            g1 = g_value(m, x1, method="riccati", with_domain_data=False).g
-            g2 = g_value(m, x2, method="riccati", with_domain_data=False).g
-            gm = g_value(m, 0.5 * (x1 + x2), method="riccati",
-                         with_domain_data=False).g
+            g1 = g_value(m, x1).g
+            g2 = g_value(m, x2).g
+            gm = g_value(m, 0.5 * (x1 + x2)).g
             assert gm <= 0.5 * (g1 + g2) + 1e-9
 
     def test_rescaling_invariance(self, lozenge_124):
@@ -263,17 +270,38 @@ class TestGValue:
         base = assemble_model(parse_spec(base_doc))
         rng = np.random.default_rng(9)
         xi = random_tilt_in_D0(rng, base)
-        g0 = g_value(base, xi, method="riccati", with_domain_data=False).g
-        g1 = g_value(scaled, xi / lam, method="riccati",
-                     with_domain_data=False).g
+        g0 = g_value(base, xi).g
+        g1 = g_value(scaled, xi / lam).g
         assert abs(g0 - g1) < 1e-8 * (1 + abs(g0))
+
+    def test_routes_computed_when_read(self, lozenge_124, monkeypatch):
+        # the Riccati value of an in-domain tilt needs neither the frequency
+        # integral nor the domain margin
+        calls = {"_g_integral": 0, "domain_margin": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cgf, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cgf, name, counted)
+        state = g_value(lozenge_124, np.array([0.2, 0.3, 0.1]))
+        assert np.isfinite(state.g)
+        assert calls == {"_g_integral": 0, "domain_margin": 0}
+        assert state.g_integral is not None and np.isfinite(state.margin)
+        assert calls == {"_g_integral": 1, "domain_margin": 1}
+
+    def test_cross_check_raises_on_disagreement(self, lozenge_124):
+        state = g_value(lozenge_124, np.array([0.2, 0.3, 0.1]))
+        state.cross_check()
+        state.g_spectral += 1e-3
+        with pytest.raises(NumericalError, match="g routes disagree"):
+            state.cross_check()
 
     def test_outside_closure_raises(self, lozenge_124, lozenge_124_geometry):
         geom = lozenge_124_geometry
         u = geom.frame[0]
         r = section_boundary(lozenge_124, geom, u)
         with pytest.raises(DomainError, match="outside essential domain closure"):
-            g_value(lozenge_124, geom.center + 3.0 * r * u, method="spectral")
+            g_value(lozenge_124, geom.center + 3.0 * r * u)
 
 
 class TestDerivatives:
@@ -296,10 +324,8 @@ class TestDerivatives:
             grad = g_gradient(m, xi)
             for j in range(m.d):
                 e = np.eye(m.d)[j]
-                gp = g_value(m, xi + step * e, method="riccati",
-                             with_domain_data=False).g
-                gm = g_value(m, xi - step * e, method="riccati",
-                             with_domain_data=False).g
+                gp = g_value(m, xi + step * e).g
+                gm = g_value(m, xi - step * e).g
                 fd = (gp - gm) / (2.0 * step)
                 assert abs(fd - grad[j]) < 1e-5 * (1.0 + abs(grad[j]))
 
@@ -323,7 +349,7 @@ class TestDerivatives:
         step = 1e-4
 
         def g_at(z):
-            return g_value(m, z, method="riccati", with_domain_data=False).g
+            return g_value(m, z).g
 
         fd = (g_at(xi + step * eta) - 2.0 * g_at(xi) + g_at(xi - step * eta)) / step ** 2
         assert abs(fd - quad) < 1e-4 * (1.0 + abs(quad))
@@ -344,9 +370,10 @@ class TestDerivatives:
                 for f in frame]).T / (2.0 * step)
             assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(H), xi
 
-    def test_one_riccati_pair_per_tilt(self, lozenge_124, monkeypatch):
-        # g, its gradient and Lambda+- all read the solutions at the tilt
-        # and at its mirror
+    def test_one_riccati_pair_per_tilt(self, lozenge_124,
+                                       lozenge_124_geometry, monkeypatch):
+        # every route of the state reads the solutions at the tilt and at
+        # its mirror, or solves none
         tilts = []
 
         def counted(model, xi):
@@ -355,8 +382,13 @@ class TestDerivatives:
 
         monkeypatch.setattr(cgf, "riccati_maximal", counted)
         xi = np.array([0.2, 0.3, 0.1])
-        res = g_value(lozenge_124, xi, method="all")
-        assert res.grad is not None and res.Lambda_plus is not None
+        state = g_value(lozenge_124, xi)
+        state.cross_check()
+        geom = lozenge_124_geometry
+        assert state.in_D and state.margin > 0.0
+        assert state.grad.shape == (3,) and state.lambdas.in_Dinf
+        assert state.sinf_margin(geom) > 0.0 and state.f0_margin(geom) > 0.0
+        assert state.hessian(geom.frame).shape == (2, 2)
         assert len(tilts) == 2
         np.testing.assert_array_equal(tilts[0], xi)
         np.testing.assert_array_equal(tilts[1], lozenge_124.theta_inv - xi)
@@ -428,6 +460,74 @@ class TestFiniteRegion:
             margin = sinf_margin(m, geom, xi)
             assert margin > 0.1
             assert abs(margin - simplex_margin(xi)) < 1e-8
+
+
+def _network(name):
+    if name == "dimer_1_64":
+        return assemble_model(parse_spec(dimer_1_64_doc()))
+    if name == "two_dimers":
+        return assemble_model(parse_spec(two_dimers_doc()))
+    return assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+
+
+def _finite_region_points(model, geometry, seed):
+    """Seeded tilts inside the finite region, on rays from the origin at
+    fractions of the exit radius.  Each is the interior maximizer of the
+    Legendre objective at its own gradient flux."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(4):
+        u = geometry.from_frame(rng.normal(size=geometry.section_dim))
+        u /= np.linalg.norm(u)
+        r = section_inf_boundary(model, geometry, u, tol=1e-3)
+        points += [t * r * u for t in (0.3, 0.6, 0.9)]
+    return points
+
+
+NETWORKS = CONFIG_NAMES + ["dimer_1_64", "two_dimers"]
+
+
+class TestF0Margin:
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_matches_mirror_reference(self, name):
+        m = _network(name)
+        geom = lineality_space(m)
+        for xi in _finite_region_points(m, geom, 4):
+            state = TiltState(m, xi)
+            margin = state.f0_margin(geom)
+            ref = mirror_f0_margin(m, geom, state)
+            assert np.sign(margin) == np.sign(ref), (xi, margin, ref)
+            if geom.dim_L == 1:
+                assert abs(margin - ref) < 1e-10, (xi, margin, ref)
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_conserved_shift_moves_solution_by_lift(self, name):
+        # X(xi + l) = X(xi) + S_l for a conserved l, S_l its commuting lift
+        m = _network(name)
+        geom = lineality_space(m)
+        rng = np.random.default_rng(5)
+        P_L = geom.L_basis.T @ geom.L_basis
+        for xi in _finite_region_points(m, geom, 4)[::3]:
+            for ell in (P_L @ m.theta_inv,
+                        geom.L_basis.T @ rng.normal(size=geom.dim_L)):
+                shifted = riccati_maximal(m, xi + ell).X
+                lifted = riccati_maximal(m, xi).X + commuting_lift(m, ell)
+                assert (np.linalg.norm(shifted - lifted)
+                        <= 1e-10 * np.linalg.norm(shifted))
+
+    def test_no_solve_on_solved_state(self, lozenge_124, lozenge_124_geometry,
+                                      monkeypatch):
+        state = TiltState(lozenge_124, np.array([0.1, -0.05, -0.05]))
+        state.sol, state.dual
+        calls = []
+
+        def counted(model, xi):
+            calls.append(xi)
+            return riccati_maximal(model, xi)
+
+        monkeypatch.setattr(cgf, "riccati_maximal", counted)
+        assert state.f0_margin(lozenge_124_geometry) > 0.0
+        assert calls == []
 
 
 class TestSectionGeometry:

@@ -56,6 +56,13 @@ class TestValidate:
         ep = float(out.split("entropy production rate: ")[1].splitlines()[0])
         assert ep > 0.0
 
+    def test_json_flag_rejected(self, capsys):
+        # the report is plain text; there is no JSON form to mirror it
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(CONFIGS / "lozenge_1_2_4.json"), "--json"])
+        assert exc.value.code == 2
+        assert "--json" in capsys.readouterr().err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -236,6 +243,16 @@ class TestRate:
         assert all(v >= -1e-12 for v in i_values)
         center = values[len(values) // 2]
         assert abs(float(center[delta_col])) < 1e-6
+
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "1"])
+    def test_grid_below_two_exit_2(self, grid, capsys):
+        code, out, err = run_cli(
+            ["rate", str(CONFIGS / "lozenge_1_2_4.json"), "--grid", grid],
+            capsys)
+        assert code == 2
+        assert "at least 2 grid points" in err
+        assert out == ""
 
 
 class TestSimulate:

@@ -20,19 +20,11 @@ from fluxnet import (
 )
 from fluxnet import ldp
 
-from conftest import gap_arc_probe, two_dimers_doc
+from conftest import dimer_1_64_doc, gap_arc_probe, two_dimers_doc
 
 
 def dimer_1_64():
-    """Two coupled oscillators, each at its own reservoir, at 1:64."""
-    doc = {
-        "oscillators": ["o1", "o2"],
-        "kappa_sq": [[1.0, -0.3], [-0.3, 1.0]],
-        "boundary": [{"id": "o1", "gamma": 1.0, "theta": 1.0},
-                     {"id": "o2", "gamma": 1.0, "theta": 64.0}],
-        "temperature_ratios": True,
-    }
-    model = assemble_model(parse_spec(doc))
+    model = assemble_model(parse_spec(dimer_1_64_doc()))
     return model, lineality_space(model)
 
 
@@ -106,8 +98,9 @@ class TestRateFunction:
 
     def test_rejects_conserved_component(self, lozenge_124,
                                          lozenge_124_geometry):
-        with pytest.raises(SpecificationError, match="orthogonal"):
-            rate_function(lozenge_124, lozenge_124_geometry, np.ones(3))
+        for fn in (rate_function, fr_defect):
+            with pytest.raises(SpecificationError, match="orthogonal"):
+                fn(lozenge_124, lozenge_124_geometry, np.ones(3))
 
     def test_strong_drive_anomaly(self, lozenge_1264, lozenge_1264_geometry):
         # far down the drive direction the flux leaves the gradient image of
@@ -124,7 +117,7 @@ class TestRateFunction:
         m, geom = lozenge_1264, lozenge_1264_geometry
         xi_b, eta = gap_arc_probe(m, geom, 0.8)
         phi0 = g_gradient(m, xi_b)
-        g_b = g_value(m, xi_b, method="riccati", with_domain_data=False).g
+        g_b = g_value(m, xi_b).g
         for lam in (0.1, 0.5, 1.0):
             shifted = rate_function(m, geom, phi0 + lam * eta,
                                     with_anomaly=False)
@@ -142,8 +135,7 @@ class TestRateFunction:
         phi = geom.from_frame(geom.to_frame(mean) - 5.0)
         res = rate_function(m, geom, phi, with_anomaly=False)
         assert res.interior and res.iterations < ldp.MAX_NEWTON
-        g_star = g_value(m, res.xi_star, method="riccati",
-                         with_domain_data=False).g
+        g_star = g_value(m, res.xi_star).g
         assert abs(res.I_value - (float(res.xi_star @ phi) - g_star)) < 1e-9
         assert np.linalg.norm(g_gradient(m, res.xi_star) - phi) < 1e-4
 
