@@ -39,7 +39,6 @@ from .solvers import (
     integrate_frequency,
     matrix_exponential,
     riccati_maximal,
-    riccati_minimal,
     solve_lyapunov,
     steady_covariance,
 )
@@ -48,13 +47,9 @@ from .cgf import (
     E_matrix,
     LambdaPair,
     TiltState,
-    g_gradient,
     g_hessian_quadform,
     g_value,
-    in_Sinf,
     in_domain,
-    in_domain_D,
-    lambda_pm,
     lineality_space,
     section_boundary,
     section_inf_boundary,

@@ -10,7 +10,7 @@ finite-horizon generating functions is actually finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,16 +47,11 @@ __all__ = [
     "E_matrix",
     "E_matrix_from_lift",
     "in_domain",
-    "in_domain_D",
     "domain_margin",
     "lineality_space",
     "g_value",
-    "g_gradient",
     "g_hessian_quadform",
-    "lambda_pm",
     "section_boundary",
-    "sinf_margin",
-    "in_Sinf",
     "section_inf_boundary",
 ]
 
@@ -73,17 +68,20 @@ G_AGREE_TOL = 1e-6
 MAX_LEVELS = 50
 
 
-def _resolvent_Q(model: LinearModel, omegas: np.ndarray) -> np.ndarray:
-    """Batched solves (A + i omega)^{-1} Q, shape (m, 2n, d)."""
-    m = len(omegas)
+def E_matrix(model: LinearModel, xi: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Self-adjoint tilt response matrices at many frequencies, shape
+    ``(m, d, d)``.
+
+    Computed from the reduced resolvent ``R(omega)`` as
+    ``-(zeta R + R* zeta + R* zeta R)`` with ``zeta = theta^{1/2} xi
+    theta^{1/2}``, stacked over the frequencies; the result is linear in the
+    tilt and independent of the choice of lift.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    # batched solves (A + i omega)^{-1} Q, shape (m, 2n, d)
     eye = np.eye(model.dim)
     stack = model.A[None, :, :] + 1j * omegas[:, None, None] * eye[None, :, :]
-    return np.linalg.solve(stack, np.broadcast_to(model.Q, (m, *model.Q.shape)))
-
-
-def _E_batch(model: LinearModel, xi: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Tilt response matrices at many frequencies, shape (m, d, d)."""
-    RQ = _resolvent_Q(model, np.asarray(omegas, dtype=float))
+    RQ = np.linalg.solve(stack, np.broadcast_to(model.Q, (len(omegas), *model.Q.shape)))
     R = model.theta_inv[None, :, None] * (model.Q.T[None, :, :] @ RQ)
     z = (np.asarray(xi, dtype=float) * model.theta)[None, :, None]
     Rh = np.conjugate(np.swapaxes(R, 1, 2))
@@ -91,19 +89,9 @@ def _E_batch(model: LinearModel, xi: np.ndarray, omegas: np.ndarray) -> np.ndarr
     return 0.5 * (E + np.conjugate(np.swapaxes(E, 1, 2)))
 
 
-def E_matrix(model: LinearModel, xi: np.ndarray, omega: float) -> np.ndarray:
-    """Self-adjoint tilt response matrix at one frequency.
-
-    Computed from the reduced resolvent ``R(omega)`` as
-    ``-(zeta R + R* zeta + R* zeta R)`` with ``zeta = theta^{1/2} xi
-    theta^{1/2}``; the result is linear in the tilt and independent of the
-    choice of lift.
-    """
-    return _E_batch(model, xi, np.array([float(omega)]))[0]
-
-
 def E_matrix_from_lift(model: LinearModel, lift: TiltLift, omega: float) -> np.ndarray:
-    """Same matrix computed directly from a lift (cross-check route)."""
+    """Response matrix at one frequency, computed directly from a lift
+    (cross-check route for :func:`E_matrix`)."""
     eye = np.eye(model.dim)
     inner = lift.sigma @ np.linalg.solve(model.A + 1j * omega * eye, model.Q)
     return model.Q.T @ np.linalg.solve(model.A.T - 1j * omega * eye, inner)
@@ -130,7 +118,7 @@ def domain_margin(model: LinearModel, xi: np.ndarray) -> float:
         return 1.0
 
     def top(omegas: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(_E_batch(model, section, omegas))[:, -1].max())
+        return float(np.linalg.eigvalsh(E_matrix(model, section, omegas))[:, -1].max())
 
     # start at zero frequency and at the drift resonances, where the
     # response peaks for weak damping
@@ -169,11 +157,6 @@ def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
     return not on_axis(ham.K, ham.eigenvalues.real).any()
 
 
-def in_domain_D(model: LinearModel, xi: np.ndarray) -> tuple[bool, float]:
-    """Membership in the open essential domain, with the located margin."""
-    return in_domain(model, xi), domain_margin(model, xi)
-
-
 @dataclass(eq=False)
 class DomainGeometry:
     """Lineality space and section frame of the domain.
@@ -183,8 +166,7 @@ class DomainGeometry:
     complement, where ``frame`` rows form an orthonormal basis whose first
     vector points along the projected inverse temperatures whenever that
     projection is nonzero.  ``center`` is the projected symmetry center of
-    the domain.  ``_sinf_table`` holds the sampled finite-region boundary
-    once the rate function has built it.
+    the domain.
     """
 
     L_basis: np.ndarray
@@ -192,7 +174,6 @@ class DomainGeometry:
     center: np.ndarray
     frame: np.ndarray
     L_lifts: tuple[np.ndarray, ...]
-    _sinf_table: object = field(default=None, repr=False)
 
     @property
     def dim_L(self) -> int:
@@ -260,7 +241,7 @@ def lineality_space(model: LinearModel) -> DomainGeometry:
     freqs = np.concatenate([[0.0], np.geomspace(0.1 * s, 10.0 * s, 4 * model.n + 1)])
     # column j holds the responses of the j-th basis tilt; each frequency
     # contributes a (2 d^2, d) real block
-    E = np.stack([_E_batch(model, e, freqs) for e in np.eye(d)], axis=-1)
+    E = np.stack([E_matrix(model, e, freqs) for e in np.eye(d)], axis=-1)
     E = E.reshape(len(freqs), d * d, d)
     stacked = np.concatenate([E.real, E.imag], axis=1).reshape(-1, d)
     U, svals, Vt = np.linalg.svd(stacked)
@@ -294,7 +275,7 @@ def _g_integral(model: LinearModel, xi: np.ndarray) -> float:
     eye = np.eye(model.d)
 
     def integrand(omegas: np.ndarray) -> np.ndarray:
-        lam = np.linalg.eigvalsh(eye - _E_batch(model, xi, omegas))
+        lam = np.linalg.eigvalsh(eye - E_matrix(model, xi, omegas))
         if (lam[:, 0] <= 0.0).any():
             raise DomainError("tilt outside the open domain; integral route invalid")
         return -np.log(lam).sum(axis=1)
@@ -332,7 +313,8 @@ class TiltState:
 
     The maximal Riccati solutions ``sol`` at the tilt and ``dual`` at its
     mirror ``theta^{-1} - xi`` give g, its gradient and Hessian, Lambda+-
-    and the finite-region and F0 margins.  Where the ordered Schur form
+    and the finite-region and F0 margins; :meth:`in_finite_region` is the
+    one membership test of the finite region.  Where the ordered Schur form
     fails (a tilt on the domain boundary) the solution is extrapolated along
     ``inward`` (default: toward the symmetry center ``theta^{-1} / 2``); the
     mirror uses the opposite direction.  The domain test ``in_D``, the
@@ -414,17 +396,42 @@ class TiltState:
     @cached_property
     def lower(self) -> np.ndarray:
         """Maximal solution plus the inverse stationary covariance (see
-        :func:`lambda_pm`)."""
+        :attr:`lambdas`)."""
         return self.sol.X + steady_covariance(self.model).Minv
 
     @cached_property
     def lambdas(self) -> LambdaPair:
+        """Eigenvalue functionals whose signs delimit the finite region.
+
+        ``minus`` is the negated smallest eigenvalue of the maximal solution
+        plus the inverse stationary covariance; ``plus`` is the smallest
+        eigenvalue of the maximal solution at the mirrored tilt.  The inverse
+        covariance is used for the maximal solution at the mirror of zero,
+        which it equals and which it computes with better conditioning.
+        """
         return LambdaPair(minus=-float(np.linalg.eigvalsh(self.lower)[0]),
                           plus=float(np.linalg.eigvalsh(self.dual.X)[0]))
 
     def sinf_margin(self, geometry: DomainGeometry) -> float:
-        """Finite-region margin of the tilt (see :func:`sinf_margin`)."""
+        """Feasibility margin for membership of the tilt in the finite region.
+
+        A section point belongs iff some conserved-direction shift fits
+        strictly between the two Riccati obstructions.  With a
+        one-dimensional lineality space the margin is exactly the spectral
+        gap of the extremal eigenvalue functionals; in higher dimension it
+        is maximized by coordinate-wise bounded scalar ascent over the shift
+        coefficients (heuristic, exact in all shipped examples).
+        """
         return _shift_margin(geometry, self.dual.X, self.lower)
+
+    def in_finite_region(self, geometry: DomainGeometry) -> bool:
+        """Whether the tilt lies in the finite region: inside the open
+        domain with a positive :meth:`sinf_margin`.  A tilt at which a solve
+        raises ``RiccatiError`` or ``NumericalError`` counts as outside."""
+        try:
+            return self.in_D and self.sinf_margin(geometry) > 0.0
+        except (RiccatiError, NumericalError):
+            return False
 
     def f0_margin(self, geometry: DomainGeometry) -> float:
         """Margin for the symmetric sub-family where the local fluctuation
@@ -484,22 +491,6 @@ def g_value(model: LinearModel, xi: np.ndarray) -> TiltState:
     return state
 
 
-def g_gradient(model: LinearModel, xi: np.ndarray) -> np.ndarray:
-    """Gradient of g from the Riccati gap matrix.
-
-    Component ``i`` equals ``tr(Sigma_i Y^{-1}) / 2`` where ``Sigma_i`` is
-    the flux-density matrix of the i-th basis tilt and ``Y`` the gap between
-    the maximal solutions at the tilt and its mirror.
-
-    Raises
-    ------
-    NumericalError
-        If the gap matrix is numerically singular (tilt too close to the
-        domain boundary).
-    """
-    return TiltState(model, xi).grad
-
-
 def g_hessian_quadform(model: LinearModel, xi: np.ndarray,
                        eta: np.ndarray) -> float:
     """Second derivative of g at a tilt along a direction.
@@ -513,28 +504,15 @@ def g_hessian_quadform(model: LinearModel, xi: np.ndarray,
     eye = np.eye(model.d)
 
     def integrand(omegas: np.ndarray) -> np.ndarray:
-        lam, U = np.linalg.eigh(eye - _E_batch(model, xi, omegas))
+        lam, U = np.linalg.eigh(eye - E_matrix(model, xi, omegas))
         if (lam[:, 0] <= 0.0).any():
             raise DomainError("tilt outside the open domain")
         W = (U / np.sqrt(lam)[:, None, :]) @ np.conjugate(np.swapaxes(U, 1, 2))
-        G = W @ _E_batch(model, eta, omegas) @ W
+        G = W @ E_matrix(model, eta, omegas) @ W
         return np.einsum("nij,nji->n", G, G).real
 
     value, _ = integrate_frequency(integrand, model.omega_scale)
     return value / (4.0 * np.pi)
-
-
-def lambda_pm(model: LinearModel, xi: np.ndarray,
-              inward: np.ndarray | None = None) -> LambdaPair:
-    """Eigenvalue functionals whose signs delimit the finite region.
-
-    ``minus`` is the negated smallest eigenvalue of the maximal solution
-    plus the inverse stationary covariance; ``plus`` is the smallest
-    eigenvalue of the maximal solution at the mirrored tilt.  The inverse
-    covariance is used for the maximal solution at the mirror of zero,
-    which it equals and which it computes with better conditioning.
-    """
-    return TiltState(model, xi, inward).lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +559,6 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
     return _ray_exit(lambda t: in_domain(model, center + t * u), 0.0, 1.0, tol)
 
 
-def sinf_margin(model: LinearModel, geometry: DomainGeometry,
-                xi_perp: np.ndarray,
-                inward: np.ndarray | None = None) -> float:
-    """Feasibility margin for membership of a section point in the finite set.
-
-    A section point belongs iff some conserved-direction shift fits strictly
-    between the two Riccati obstructions.  With a one-dimensional lineality
-    space the margin is exactly the spectral gap of the extremal eigenvalue
-    functionals; in higher dimension it is maximized by coordinate-wise
-    bounded scalar ascent over the shift coefficients (heuristic, exact in
-    all shipped examples).
-    """
-    return TiltState(model, xi_perp, inward).sinf_margin(geometry)
-
-
 def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
                   lower: np.ndarray) -> float:
     """Margin of the best conserved shift ``S`` between two obstructions,
@@ -635,28 +598,20 @@ def _shift_ascent(lifts: tuple[np.ndarray, ...],
     return margin(coeffs)
 
 
-def in_Sinf(model: LinearModel, geometry: DomainGeometry,
-            xi_perp: np.ndarray) -> bool:
-    """Whether a section point carries a finite long-time generating function."""
-    return sinf_margin(model, geometry, xi_perp) > 0.0
-
-
 def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,
                          u: np.ndarray, tol: float = 1e-6,
                          bracket_hint: float | None = None) -> float:
     """Exit radius of the finite region along a ray from the origin.
 
     The origin always lies inside; concavity of the feasibility margin along
-    the ray gives a single sign change, located by bisection.  A bracket
-    hint (for example the radius found along a nearby ray) shortcuts the
-    bracket-growth phase.
+    the ray gives a single sign change, located by bisection on
+    :meth:`TiltState.in_finite_region`.  A bracket hint (for example the
+    radius found along a nearby ray) shortcuts the bracket-growth phase.
     """
     u = np.asarray(u, dtype=float)
 
     def member(t: float) -> bool:
-        xi = t * u
-        return (in_domain(model, xi)
-                and sinf_margin(model, geometry, xi, inward=-u) > 0.0)
+        return TiltState(model, t * u, inward=-u).in_finite_region(geometry)
 
     if bracket_hint is None or bracket_hint <= 0.0:
         return _ray_exit(member, 0.0, 0.5, tol)

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .cgf import (
     DomainGeometry,
+    TiltState,
     g_value,
-    lambda_pm,
     lineality_space,
     section_boundary,
     section_inf_boundary,
@@ -244,6 +244,8 @@ def cmd_cgf(args) -> int:
         rows.append(row_for(xi))
     else:
         geometry.require_section()
+        if args.radii < 1 or args.dirs < 1:
+            raise SpecificationError("need at least 1 scan direction and 1 radius")
         fracs = [(j + 1.0) / (args.radii + 1.0) for j in range(args.radii)]
         dirs, _ = _scan_directions(geometry.section_dim, args.dirs)
         for idx, dc in enumerate(dirs):
@@ -258,7 +260,7 @@ def cmd_cgf(args) -> int:
 def _default_tilts(model: LinearModel, geometry: DomainGeometry) -> list[np.ndarray]:
     """Five small tilts inside the validity window of the estimator."""
     geometry.require_section()
-    lam0 = lambda_pm(model, np.zeros(model.d))
+    lam0 = TiltState(model, np.zeros(model.d)).lambdas
     dist = np.sqrt(model.d) * min(-lam0.minus, lam0.plus)
     for u in (geometry.frame[0], -geometry.frame[0]):
         dist = min(dist, section_inf_boundary(model, geometry, u))

@@ -10,20 +10,14 @@ ruled surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
 
-from .cgf import (
-    DomainGeometry,
-    TiltState,
-    g_gradient,
-    lambda_pm,
-    section_boundary,
-    section_inf_boundary,
-)
-from .errors import ConvergenceError, NumericalError, RiccatiError, SpecificationError
+from .cgf import DomainGeometry, TiltState, section_boundary, section_inf_boundary
+from .errors import ConvergenceError, NumericalError, SpecificationError
 from .network import LinearModel, commuting_lift
 from .solvers import steady_covariance
 
@@ -81,15 +75,6 @@ class RateResult:
     anomaly: float | None = None
 
 
-def _feasible(geometry: DomainGeometry, state: TiltState) -> bool:
-    if not state.in_D:
-        return False
-    try:
-        return state.sinf_margin(geometry) > 0.0
-    except (RiccatiError, NumericalError):
-        return False
-
-
 def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
     if k == 2:
         return np.array([np.cos(angles[0]), np.sin(angles[0])])
@@ -99,34 +84,22 @@ def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
                      np.sin(pol) * np.sin(az)])
 
 
+#: rays of the finite-region boundary table on 2- and 3-dimensional
+#: sections (a 1-dimensional section has two)
+TABLE_RAYS_2D = 384
+TABLE_RAYS_3D = 512
+
+
+@dataclass(frozen=True, eq=False)
 class _BoundaryTable:
-    """Sampled boundary of the finite region: rays from the origin along
-    the scan directions of :func:`_scan_directions`.
+    """Sampled boundary of the finite region: per ray from the origin, the
+    (angle) or (azimuth, polar) where the refinement starts, the boundary
+    tilt, its radius and its Riccati value of g."""
 
-    Radii are found by bisection with bracket hints chained from the
-    previous ray, and the Riccati value of g is stored per sample.  Built
-    lazily on first use and cached on the geometry; the per-ray cost then
-    amortizes over every boundary-regime flux evaluation.
-    """
-
-    COUNT_2D = 384
-    COUNT_3D = 512
-
-    def __init__(self, model: LinearModel, geometry: DomainGeometry):
-        k = geometry.section_dim
-        dirs, polar = _scan_directions(k, self.COUNT_3D if k == 3 else self.COUNT_2D)
-        # (angle) or (azimuth, polar) of each ray, where the refinement starts
-        self.angles = polar[:, :2]
-        self.xi = np.empty((len(dirs), model.d))
-        self.g = np.empty(len(dirs))
-        self.radius = np.empty(len(dirs))
-        hint = None
-        for idx, direction in enumerate(dirs):
-            xi, r, g_val = _boundary_point(model, geometry, direction, hint)
-            self.xi[idx] = xi
-            self.radius[idx] = r
-            self.g[idx] = g_val
-            hint = r if k == 2 else None
+    angles: np.ndarray
+    xi: np.ndarray
+    radius: np.ndarray
+    g: np.ndarray
 
 
 def _boundary_point(model: LinearModel, geometry: DomainGeometry,
@@ -138,11 +111,25 @@ def _boundary_point(model: LinearModel, geometry: DomainGeometry,
     return xi, r, TiltState(model, xi, inward=-u).g
 
 
+@lru_cache(maxsize=64)
 def _boundary_table(model: LinearModel,
                     geometry: DomainGeometry) -> _BoundaryTable:
-    if geometry._sinf_table is None:
-        geometry._sinf_table = _BoundaryTable(model, geometry)
-    return geometry._sinf_table
+    """Boundary table along the scan directions of :func:`_scan_directions`.
+
+    Radii are found by bisection with bracket hints chained from the
+    previous ray.  Models and geometries are hashed by identity, so the
+    table is built once per pair; the per-ray cost then amortizes over
+    every boundary-regime flux evaluation.
+    """
+    k = geometry.section_dim
+    dirs, polar = _scan_directions(k, TABLE_RAYS_3D if k == 3 else TABLE_RAYS_2D)
+    xi = np.empty((len(dirs), model.d))
+    radius = np.empty(len(dirs))
+    g = np.empty(len(dirs))
+    for idx, direction in enumerate(dirs):
+        hint = radius[idx - 1] if k == 2 and idx else None
+        xi[idx], radius[idx], g[idx] = _boundary_point(model, geometry, direction, hint)
+    return _BoundaryTable(angles=polar[:, :2], xi=xi, radius=radius, g=g)
 
 
 def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
@@ -153,9 +140,9 @@ def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
     values = table.xi @ phi - table.g
     best = int(np.argmax(values))
 
-    def objective(angles: np.ndarray, hint: float) -> tuple[float, np.ndarray]:
-        xi, r, g_val = _boundary_point(model, geometry,
-                                       _dir_from_angles(angles, k), hint)
+    def objective(angles: np.ndarray) -> tuple[float, np.ndarray]:
+        xi, _, g_val = _boundary_point(model, geometry, _dir_from_angles(angles, k),
+                                       table.radius[best])
         return float(xi @ phi) - g_val, xi
 
     if k == 1:
@@ -165,16 +152,16 @@ def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
         a0 = table.angles[best][0]
         span = 2.0 * np.pi / len(table.angles)
         res = scipy.optimize.minimize_scalar(
-            lambda a: -objective(np.array([a]), table.radius[best])[0],
+            lambda a: -objective(np.array([a]))[0],
             bounds=(a0 - span, a0 + span),
             method="bounded", options={"xatol": 1e-7})
         angles = np.array([float(res.x)])
     else:
         angles = scipy.optimize.minimize(
-            lambda a: -objective(a, table.radius[best])[0],
+            lambda a: -objective(a)[0],
             table.angles[best], method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 200}).x
-    value, xi = objective(angles, table.radius[best])
+    value, xi = objective(angles)
     if values[best] > value:
         return float(values[best]), table.xi[best]
     return value, xi
@@ -256,12 +243,18 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
         for _ in range(40):
             trial = c + t * delta
             trial_state = TiltState(model, geometry.from_frame(trial))
-            if _feasible(geometry, trial_state):
+            if trial_state.in_finite_region(geometry):
                 f_trial = float(trial @ phi_c) - trial_state.g
                 if f_trial >= f_c + ARMIJO * t * float(delta @ grad) - noise:
+                    try:
+                        new_grad = phi_c - frame @ trial_state.grad
+                    except NumericalError:
+                        # a numerically singular gap matrix leaves no gradient
+                        # to go on from: shrink as if the trial were outside
+                        t *= SHRINK
+                        continue
                     gain = f_trial - f_c
-                    c, f_c, state = trial, f_trial, trial_state
-                    grad = phi_c - frame @ state.grad
+                    c, f_c, state, grad = trial, f_trial, trial_state, new_grad
                     break
             t *= SHRINK
         if gain is None:
@@ -362,7 +355,7 @@ def condition_R_scan(model: LinearModel, geometry: DomainGeometry,
         u = geometry.from_frame(dc)
         r = section_boundary(model, geometry, u, tol)
         xi = geometry.center + r * u
-        lam = lambda_pm(model, xi, inward=-u)
+        lam = TiltState(model, xi, inward=-u).lambdas
         xi_b[idx] = xi
         radii[idx] = r
         lam_m[idx] = lam.minus
@@ -388,7 +381,7 @@ def entropy_production(model: LinearModel) -> EntropyProduction:
     The gradient of g at zero is the stationary mean heat-flux vector; it
     is orthogonal to the conserved directions, so no net energy accumulates.
     """
-    mean_flux = g_gradient(model, np.zeros(model.d))
+    mean_flux = TiltState(model, np.zeros(model.d)).grad
     ep = -float(model.theta_inv @ mean_flux)
     return EntropyProduction(ep=ep, mean_flux=mean_flux)
 

@@ -33,7 +33,6 @@ __all__ = [
     "steady_covariance",
     "hamiltonian",
     "riccati_maximal",
-    "riccati_minimal",
     "riccati_extrapolated",
     "matrix_exponential",
     "integrate_frequency",
@@ -229,12 +228,6 @@ def riccati_maximal(model: LinearModel, xi: np.ndarray) -> RiccatiSolution:
     X = _sym(np.linalg.solve(V1.T, V2.T).T)
     D = A_xi - model.B @ X
     return RiccatiSolution(model=model, xi=np.asarray(xi, dtype=float), X=X, D=D)
-
-
-def riccati_minimal(model: LinearModel, xi: np.ndarray) -> np.ndarray:
-    """Minimal self-adjoint solution, obtained from the mirrored tilt."""
-    dual = riccati_maximal(model, model.theta_inv - np.asarray(xi, dtype=float))
-    return -model.theta_conj(dual.X)
 
 
 #: inward offsets used when extrapolating Riccati solutions to the boundary;

@@ -169,7 +169,7 @@ def sampled_domain_margin(model, xi, grid=129):
     eigenvalue of ``I - E(omega)`` on a tangent-compactified grid over a
     certified frequency window, every local minimum refined by bounded
     scalar minimization."""
-    from fluxnet.cgf import E_matrix, _E_batch
+    from fluxnet.cgf import E_matrix
 
     xi = np.asarray(xi, dtype=float)
     z = float(np.abs(xi * model.theta).max())
@@ -184,10 +184,11 @@ def sampled_domain_margin(model, xi, grid=129):
     u_max = float(np.arctan(cutoff / s))
     us = np.linspace(0.0, u_max, grid)
     eye = np.eye(model.d)
-    margins = np.linalg.eigvalsh(eye[None] - _E_batch(model, xi, s * np.tan(us)))[:, 0]
+    margins = np.linalg.eigvalsh(eye[None] - E_matrix(model, xi, s * np.tan(us)))[:, 0]
 
     def margin_at(u):
-        return float(np.linalg.eigvalsh(eye - E_matrix(model, xi, s * np.tan(u)))[0])
+        E = E_matrix(model, xi, [s * np.tan(u)])[0]
+        return float(np.linalg.eigvalsh(eye - E)[0])
 
     best = float(margins.min())
     interior = np.nonzero(
@@ -206,14 +207,15 @@ def gap_arc_probe(model, geometry, angle, h=1e-5):
     """Point on the finite-region boundary along a gap-binding ray, plus the
     outward normal of the boundary there (finite differences of the
     feasibility margin)."""
-    from fluxnet.cgf import section_inf_boundary, sinf_margin
+    from fluxnet.cgf import TiltState, section_inf_boundary
 
     u = geometry.from_frame(np.array([np.cos(angle), np.sin(angle)]))
     r = section_inf_boundary(model, geometry, u, tol=1e-8)
     xi_b = r * u
     grad = np.array([
-        (sinf_margin(model, geometry, xi_b + h * geometry.frame[j])
-         - sinf_margin(model, geometry, xi_b - h * geometry.frame[j])) / (2 * h)
+        (TiltState(model, xi_b + h * geometry.frame[j]).sinf_margin(geometry)
+         - TiltState(model, xi_b - h * geometry.frame[j]).sinf_margin(geometry))
+        / (2 * h)
         for j in range(geometry.section_dim)])
     eta_frame = -grad / np.linalg.norm(grad)
     return xi_b, geometry.from_frame(eta_frame)

@@ -24,7 +24,6 @@ from fluxnet import (
     empirical_cgf,
     entropy_production,
     finite_horizon_cgf,
-    g_gradient,
     g_hessian_quadform,
     g_value,
     hamiltonian,
@@ -36,7 +35,7 @@ from fluxnet import (
     section_boundary,
     steady_covariance,
 )
-from fluxnet.cgf import E_matrix
+from fluxnet.cgf import E_matrix, TiltState
 
 from conftest import (
     gap_arc_probe,
@@ -143,7 +142,7 @@ def test_criterion_05_determinant_identity(lozenge_124, triangular_eq,
                 K = hamiltonian(m, xi).K
                 lhs = np.linalg.det(K - 1j * w * np.eye(2 * m.dim))
                 rhs = (abs(np.linalg.det(m.A + 1j * w * eye)) ** 2
-                       * np.linalg.det(np.eye(m.d) - E_matrix(m, xi, w)))
+                       * np.linalg.det(np.eye(m.d) - E_matrix(m, xi, [w])[0]))
                 assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
@@ -178,7 +177,7 @@ def test_criterion_07_gradient_hessian_fd(lozenge_124, heatpump,
                         (heatpump, heatpump_geometry)):
             for _ in range(10):
                 xi = 0.15 + 0.7 * rng.uniform(size=m.d) * m.theta_inv
-                grad = g_gradient(m, xi)
+                grad = TiltState(m, xi).grad
                 step = 1e-5
                 fd = np.empty(m.d)
                 for j in range(m.d):
@@ -267,7 +266,7 @@ def test_criterion_10_fluctuation_relation(heatpump, heatpump_geometry,
         # ruled-surface law at five probes on the closed-gap arc
         for angle in (0.55, 0.7, 0.85, 1.0, 1.1):
             xi_b, eta = gap_arc_probe(m2, geom2, angle)
-            phi0 = g_gradient(m2, xi_b)
+            phi0 = TiltState(m2, xi_b).grad
             g_b = g_value(m2, xi_b).g
             for lam in (0.1, 0.5, 1.0):
                 res = rate_function(m2, geom2, phi0 + lam * eta,

@@ -9,16 +9,13 @@ import scipy.optimize
 from fluxnet import (
     DomainError,
     NumericalError,
+    RiccatiError,
     assemble_model,
     canonical_lift,
     commuting_lift,
-    g_gradient,
     g_hessian_quadform,
     g_value,
-    in_Sinf,
     in_domain,
-    in_domain_D,
-    lambda_pm,
     lineality_space,
     load_spec,
     parse_spec,
@@ -33,7 +30,6 @@ from fluxnet.cgf import (
     E_matrix_from_lift,
     TiltState,
     domain_margin,
-    sinf_margin,
 )
 
 from conftest import (
@@ -50,16 +46,16 @@ CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 class TestResponseMatrix:
     def test_zero_tilt(self, lozenge_124):
-        E = E_matrix(lozenge_124, np.zeros(3), 1.3)
+        E = E_matrix(lozenge_124, np.zeros(3), [1.3])[0]
         assert np.linalg.norm(E, 2) < 1e-14
 
     def test_hermitian_and_linear(self, heatpump):
         rng = np.random.default_rng(0)
         xi, eta = rng.normal(size=4), rng.normal(size=4)
         w = 2.7
-        E1 = E_matrix(heatpump, xi, w)
-        E2 = E_matrix(heatpump, eta, w)
-        E12 = E_matrix(heatpump, 2.0 * xi - 0.5 * eta, w)
+        E1 = E_matrix(heatpump, xi, [w])[0]
+        E2 = E_matrix(heatpump, eta, [w])[0]
+        E12 = E_matrix(heatpump, 2.0 * xi - 0.5 * eta, [w])[0]
         assert np.linalg.norm(E1 - E1.conj().T, 2) < 1e-12
         assert np.linalg.norm(E12 - (2.0 * E1 - 0.5 * E2), 2) < 1e-11
 
@@ -70,7 +66,7 @@ class TestResponseMatrix:
             w = rng.normal() * 4.0
             lift = canonical_lift(lozenge_124, xi)
             direct = E_matrix_from_lift(lozenge_124, lift, w)
-            assert np.linalg.norm(E_matrix(lozenge_124, xi, w) - direct, 2) < 1e-11
+            assert np.linalg.norm(E_matrix(lozenge_124, xi, [w])[0] - direct, 2) < 1e-11
 
     def test_unit_determinant_at_inverse_temperature(self, lozenge_124,
                                                      heatpump):
@@ -78,7 +74,7 @@ class TestResponseMatrix:
         for m in (lozenge_124, heatpump):
             for _ in range(5):
                 w = rng.normal() * 5.0
-                E = E_matrix(m, m.theta_inv, w)
+                E = E_matrix(m, m.theta_inv, [w])[0]
                 det = np.linalg.det(np.eye(m.d) - E)
                 assert abs(det - 1.0) < 1e-10
 
@@ -86,25 +82,26 @@ class TestResponseMatrix:
         rng = np.random.default_rng(3)
         xi = rng.normal(size=3)
         w = 1e3 * lozenge_124.omega_scale
-        assert np.linalg.norm(E_matrix(lozenge_124, xi, w), 2) < 1e-4
+        assert np.linalg.norm(E_matrix(lozenge_124, xi, [w])[0], 2) < 1e-4
 
 
 class TestDomain:
     def test_origin(self, lozenge_124):
-        ok, margin = in_domain_D(lozenge_124, np.zeros(3))
+        ok = in_domain(lozenge_124, np.zeros(3))
+        margin = domain_margin(lozenge_124, np.zeros(3))
         assert ok and abs(margin - 1.0) < 1e-12
 
     def test_box_inside(self, lozenge_1264):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            assert in_domain_D(lozenge_1264,
-                               random_tilt_in_D0(rng, lozenge_1264))[0]
+            assert in_domain(lozenge_1264, random_tilt_in_D0(rng, lozenge_1264))
 
     def test_far_outside(self, lozenge_124, lozenge_124_geometry):
         geom = lozenge_124_geometry
         u = geom.frame[0]
         r = section_boundary(lozenge_124, geom, u)
-        ok, margin = in_domain_D(lozenge_124, geom.center + 10.0 * r * u)
+        xi = geom.center + 10.0 * r * u
+        ok, margin = in_domain(lozenge_124, xi), domain_margin(lozenge_124, xi)
         assert not ok and margin < 0.0
 
     @pytest.mark.parametrize("name", [
@@ -209,7 +206,7 @@ class TestLineality:
         rng = np.random.default_rng(5)
         for eta in geom.L_basis:
             for w in rng.normal(scale=3.0, size=20):
-                assert np.linalg.norm(E_matrix(lozenge_124, eta, w), 2) < 1e-9
+                assert np.linalg.norm(E_matrix(lozenge_124, eta, [w])[0], 2) < 1e-9
 
     def test_frame_aligned_with_drive(self, lozenge_124, lozenge_124_geometry):
         geom = lozenge_124_geometry
@@ -308,12 +305,13 @@ class TestDerivatives:
     def test_gradient_orthogonal_to_lineality(self, lozenge_124):
         rng = np.random.default_rng(10)
         for _ in range(5):
-            grad = g_gradient(lozenge_124, random_tilt_in_D0(rng, lozenge_124))
+            xi = random_tilt_in_D0(rng, lozenge_124)
+            grad = TiltState(lozenge_124, xi).grad
             assert abs(grad @ np.ones(3)) < 1e-8
 
     def test_equilibrium_gradient_vanishes(self, lozenge_eq, triangular_eq):
         for m in (lozenge_eq, triangular_eq):
-            grad = g_gradient(m, np.zeros(m.d))
+            grad = TiltState(m, np.zeros(m.d)).grad
             assert np.abs(grad).max() < 1e-9
 
     def test_gradient_matches_finite_differences(self, lozenge_124, heatpump):
@@ -321,7 +319,7 @@ class TestDerivatives:
         step = 1e-5
         for m in (lozenge_124, heatpump):
             xi = random_tilt_in_D0(rng, m)
-            grad = g_gradient(m, xi)
+            grad = TiltState(m, xi).grad
             for j in range(m.d):
                 e = np.eye(m.d)[j]
                 gp = g_value(m, xi + step * e).g
@@ -366,7 +364,8 @@ class TestDerivatives:
             xi = random_tilt_in_D0(rng, m)
             H = TiltState(m, xi).hessian(frame)
             fd = np.array([
-                frame @ (g_gradient(m, xi + step * f) - g_gradient(m, xi - step * f))
+                frame @ (TiltState(m, xi + step * f).grad
+                         - TiltState(m, xi - step * f).grad)
                 for f in frame]).T / (2.0 * step)
             assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(H), xi
 
@@ -397,7 +396,7 @@ class TestDerivatives:
 class TestFiniteRegion:
     def test_origin_values_from_covariance(self, lozenge_124):
         m = lozenge_124
-        lam = lambda_pm(m, np.zeros(3))
+        lam = TiltState(m, np.zeros(3)).lambdas
         M = steady_covariance(m).M
         inv_eigs = 1.0 / np.linalg.eigvalsh(M)
         assert abs(lam.plus - inv_eigs.min()) < 1e-9
@@ -410,11 +409,12 @@ class TestFiniteRegion:
         for _ in range(5):
             t = rng.uniform(0.05, 0.95)
             xi = t * m.theta_inv
-            lam = lambda_pm(m, xi)
+            lam = TiltState(m, xi).lambdas
             assert lam.in_Dinf
 
     def test_section_point_membership(self, lozenge_124, lozenge_124_geometry):
-        assert in_Sinf(lozenge_124, lozenge_124_geometry, np.zeros(3))
+        state = TiltState(lozenge_124, np.zeros(3))
+        assert state.in_finite_region(lozenge_124_geometry)
 
     def test_closed_gap_region_excluded(self, lozenge_1264,
                                         lozenge_1264_geometry):
@@ -425,9 +425,27 @@ class TestFiniteRegion:
         # with strong drive the finite region ends strictly inside the section
         inside = (r_inf - 1e-3) * u
         outside = (r_inf + 1e-3) * u
-        assert sinf_margin(m, geom, inside) > 0.0
-        if in_domain_D(m, outside)[0]:
-            assert sinf_margin(m, geom, outside) < 0.0
+        assert TiltState(m, inside).sinf_margin(geom) > 0.0
+        if in_domain(m, outside):
+            assert TiltState(m, outside).sinf_margin(geom) < 0.0
+
+    def test_failed_solve_counts_as_outside(self, lozenge_124,
+                                            lozenge_124_geometry, monkeypatch):
+        # a Riccati failure beyond a radius ends the finite region there for
+        # the ray bisection, as it does for the rate-function line search
+        m, geom = lozenge_124, lozenge_124_geometry
+        u = geom.frame[0]
+        limit = 0.5 * section_inf_boundary(m, geom, u)
+        solve = TiltState._solve
+
+        def failing_beyond_limit(state, xi, inward):
+            if np.linalg.norm(state.xi) > limit:
+                raise RiccatiError("no interior ladder points")
+            return solve(state, xi, inward)
+
+        monkeypatch.setattr(TiltState, "_solve", failing_beyond_limit)
+        assert not TiltState(m, 1.1 * limit * u).in_finite_region(geom)
+        assert abs(section_inf_boundary(m, geom, u, tol=1e-6) - limit) <= 1e-6
 
     def test_margin_with_two_conserved_directions(self):
         # two decoupled dimers conserve their energies separately, so the
@@ -457,7 +475,7 @@ class TestFiniteRegion:
         for angle in (0.3, 2.0, 4.0):
             u = geom.from_frame(np.array([np.cos(angle), np.sin(angle)]))
             xi = 0.5 * section_inf_boundary(m, geom, u) * u
-            margin = sinf_margin(m, geom, xi)
+            margin = TiltState(m, xi).sinf_margin(geom)
             assert margin > 0.1
             assert abs(margin - simplex_margin(xi)) < 1e-8
 
@@ -565,7 +583,7 @@ class TestSectionGeometry:
             norms = []
             for f in (0.90, 0.93, 0.96, 0.99):
                 norms.append(np.linalg.norm(
-                    g_gradient(m, geom.center + f * r * u)))
+                    TiltState(m, geom.center + f * r * u).grad))
             assert all(b > a for a, b in zip(norms, norms[1:]))
 
     def test_margin_consistency(self, lozenge_124, lozenge_124_geometry):

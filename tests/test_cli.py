@@ -161,6 +161,22 @@ class TestCgf:
             counts.append(len(data_section(out)) - 1)
         assert counts == [2, 4]
 
+    @pytest.mark.parametrize("flags", [
+        ["--radii", "0"], ["--radii", "-2"], ["--dirs", "0"]])
+    def test_empty_scan_exit_2(self, flags, capsys):
+        code, out, err = run_cli(
+            ["cgf", str(CONFIGS / "lozenge_1_2_4.json"), *flags], capsys)
+        assert code == 2
+        assert "at least 1 scan direction and 1 radius" in err
+        assert out == ""
+
+    def test_one_direction_one_radius(self, capsys):
+        code, out, _ = run_cli(
+            ["cgf", str(CONFIGS / "lozenge_1_2_4.json"),
+             "--dirs", "1", "--radii", "1"], capsys)
+        assert code == 0
+        assert len(data_section(out)) == 1 + 1
+
 
 def _tilt_columns(text):
     rows = data_section(text)

@@ -1,19 +1,23 @@
 """Rate function, fluctuation-relation diagnostics, entropy production."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fluxnet import (
+    NumericalError,
     SpecificationError,
+    TiltState,
     assemble_model,
     condition_R_scan,
     conserved_direction,
     conserved_rate,
     entropy_production,
     fr_defect,
-    g_gradient,
     g_value,
     lineality_space,
+    load_spec,
     parse_spec,
     rate_function,
     steady_covariance,
@@ -21,6 +25,8 @@ from fluxnet import (
 from fluxnet import ldp
 
 from conftest import dimer_1_64_doc, gap_arc_probe, two_dimers_doc
+
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 
 
 def dimer_1_64():
@@ -74,7 +80,7 @@ class TestRateFunction:
             phi = geom.from_frame(rng.normal(scale=0.3, size=2))
             res = rate_function(lozenge_124, geom, phi, with_anomaly=False)
             assert res.interior
-            assert np.linalg.norm(g_gradient(lozenge_124, res.xi_star) - phi) < 1e-6
+            assert np.linalg.norm(TiltState(lozenge_124, res.xi_star).grad - phi) < 1e-6
             assert res.I_value >= -1e-12
 
     def test_interior_anomaly_vanishes(self, lozenge_124, lozenge_124_geometry):
@@ -116,7 +122,7 @@ class TestRateFunction:
     def test_ruled_surface_identity(self, lozenge_1264, lozenge_1264_geometry):
         m, geom = lozenge_1264, lozenge_1264_geometry
         xi_b, eta = gap_arc_probe(m, geom, 0.8)
-        phi0 = g_gradient(m, xi_b)
+        phi0 = TiltState(m, xi_b).grad
         g_b = g_value(m, xi_b).g
         for lam in (0.1, 0.5, 1.0):
             shifted = rate_function(m, geom, phi0 + lam * eta,
@@ -137,7 +143,28 @@ class TestRateFunction:
         assert res.interior and res.iterations < ldp.MAX_NEWTON
         g_star = g_value(m, res.xi_star).g
         assert abs(res.I_value - (float(res.xi_star @ phi) - g_star)) < 1e-9
-        assert np.linalg.norm(g_gradient(m, res.xi_star) - phi) < 1e-4
+        assert np.linalg.norm(TiltState(m, res.xi_star).grad - phi) < 1e-4
+
+    def test_singular_gap_trial_shrinks(self, monkeypatch):
+        # a trial step whose gap matrix is numerically singular has no
+        # gradient: the line search shrinks it as if it were infeasible
+        m = assemble_model(load_spec(str(CONFIGS / "lozenge_1_2_4.json")))
+        geom = lineality_space(m)
+        phi = 2.0 * entropy_production(m).mean_flux
+        free = rate_function(m, geom, phi, with_anomaly=False)
+        limit = 0.5 * np.linalg.norm(free.xi_star)
+        grad = TiltState.__dict__["grad"]
+
+        def singular_beyond_limit(state):
+            if np.linalg.norm(state.xi) > limit:
+                raise NumericalError("gap matrix numerically singular")
+            return grad.func(state)
+
+        monkeypatch.setattr(TiltState, "grad", property(singular_beyond_limit))
+        res = rate_function(m, geom, phi, with_anomaly=False)
+        # the ascent is pinned inside the limit, below the free maximum
+        assert not res.interior and res.conjectural_global
+        assert 0.0 < res.I_value <= free.I_value
 
     def test_interior_with_two_conserved_directions(self):
         # two decoupled dimers: the lineality space has dimension 2, so the
@@ -148,7 +175,7 @@ class TestRateFunction:
         phi = 2.0 * entropy_production(m).mean_flux
         res = rate_function(m, geom, phi)
         assert res.interior and res.in_F0 and not res.conjectural_global
-        assert np.linalg.norm(g_gradient(m, res.xi_star) - phi) < 1e-6
+        assert np.linalg.norm(TiltState(m, res.xi_star).grad - phi) < 1e-6
         assert abs(res.anomaly) < 1e-9
 
 

@@ -21,12 +21,11 @@ from fluxnet import (
     matrix_exponential,
     parse_spec,
     riccati_maximal,
-    riccati_minimal,
     solve_lyapunov,
     steady_covariance,
 )
 from fluxnet import cgf
-from fluxnet.cgf import E_matrix, _E_batch, _g_integral, _g_spectral, in_domain
+from fluxnet.cgf import E_matrix, TiltState, _g_integral, _g_spectral, in_domain
 from fluxnet.solvers import MAX_PANELS, _gk21_panels, tilted_blocks
 
 from conftest import lozenge_doc, random_network_doc, random_tilt_in_D0
@@ -96,7 +95,7 @@ class TestHamiltonian:
                 K = hamiltonian(m, xi).K
                 lhs = np.linalg.det(K - 1j * w * np.eye(2 * m.dim))
                 rhs = (abs(np.linalg.det(m.A + 1j * w * eye)) ** 2
-                       * np.linalg.det(np.eye(m.d) - E_matrix(m, xi, w)))
+                       * np.linalg.det(np.eye(m.d) - E_matrix(m, xi, [w])[0]))
                 assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
@@ -181,7 +180,7 @@ class TestRiccati:
         rng = np.random.default_rng(9)
         for _ in range(5):
             xi = random_tilt_in_D0(rng, m)
-            X_min = riccati_minimal(m, xi)
+            X_min = -m.theta_conj(TiltState(m, xi).dual.X)
             A_xi, C_xi = tilted_blocks(m, xi)
             res = X_min @ m.B @ X_min - X_min @ A_xi - A_xi.T @ X_min - C_xi
             assert np.linalg.norm(res, 2) < 1e-9
@@ -273,7 +272,7 @@ class TestFrequencyQuadrature:
         m = lozenge_124
 
         def f(w):
-            lam = np.linalg.eigvalsh(np.eye(3) - _E_batch(m, np.zeros(3), w))
+            lam = np.linalg.eigvalsh(np.eye(3) - E_matrix(m, np.zeros(3), w))
             return -np.log(lam).sum(axis=1)
 
         value, _ = integrate_frequency(f, scale=m.omega_scale)
@@ -329,8 +328,8 @@ class TestFrequencyQuadrature:
 
         def counted(*args):
             calls.append(args)
-            return _E_batch(*args)
+            return E_matrix(*args)
 
-        monkeypatch.setattr(cgf, "_E_batch", counted)
+        monkeypatch.setattr(cgf, "E_matrix", counted)
         _g_integral(lozenge_124, np.array([0.1, 0.2, 0.15]))
         assert 0 < len(calls) <= 12
