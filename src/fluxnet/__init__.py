@@ -38,7 +38,7 @@ from .solvers import (
     hamiltonian,
     integrate_frequency,
     matrix_exponential,
-    riccati_maximal,
+    riccati_pair,
     solve_lyapunov,
     steady_covariance,
 )

@@ -10,7 +10,7 @@ finite-horizon generating functions is actually finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -31,12 +31,12 @@ from .network import (
     flux_density_stack,
 )
 from .solvers import (
+    HamiltonianData,
     RiccatiSolution,
     hamiltonian,
     integrate_frequency,
-    on_axis,
+    invariant_pair,
     riccati_extrapolated,
-    riccati_maximal,
     steady_covariance,
 )
 
@@ -129,8 +129,7 @@ def domain_margin(model: LinearModel, xi: np.ndarray) -> float:
         # just above the level, so that a tangent crossing at the supremum
         # leaves the imaginary axis
         ham = hamiltonian(model, section / (gamma * (1.0 + 1e-13)))
-        eigs = ham.eigenvalues
-        crossings = np.unique(np.abs(eigs[on_axis(ham.K, eigs.real)].imag))
+        crossings = np.unique(np.abs(ham.eigenvalues[ham.on_axis].imag))
         if len(crossings) < 2:
             return 1.0 - gamma
         peak = top(0.5 * (crossings[1:] + crossings[:-1]))
@@ -150,11 +149,9 @@ def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
     ``K`` of the tilt has no eigenvalue on the imaginary axis (the test
     behind the Boyd-Balakrishnan-Kabamba bisection for the H-infinity norm).
     ``E`` vanishes on the lineality space, so the test is made at the
-    section component of the tilt: a conserved part leaves ``E`` unchanged
-    but grows ``K`` and with it the on-axis cut of :func:`on_axis`.
+    section component of the tilt (see :class:`TiltState`).
     """
-    ham = hamiltonian(model, lineality_space(model).project(xi))
-    return not on_axis(ham.K, ham.eigenvalues.real).any()
+    return TiltState(model, xi).in_D
 
 
 @dataclass(eq=False)
@@ -190,7 +187,10 @@ class DomainGeometry:
         return np.asarray(coords, dtype=float) @ self.frame
 
     def project(self, xi: np.ndarray) -> np.ndarray:
-        return self.Pi @ np.asarray(xi, dtype=float)
+        # a conserved part at rounding level stays: section points pass as given
+        conserved = self.L_basis @ xi
+        tiny = np.linalg.norm(conserved) <= 1e-14 * np.linalg.norm(xi)
+        return xi if tiny else xi - conserved @ self.L_basis
 
     def require_section(self) -> None:
         """Raise unless some tilt direction is not conserved."""
@@ -284,12 +284,6 @@ def _g_integral(model: LinearModel, xi: np.ndarray) -> float:
     return value / (4.0 * np.pi)
 
 
-def _g_spectral(model: LinearModel, xi: np.ndarray) -> float:
-    ham = hamiltonian(model, xi)
-    base = 0.25 * float(np.trace((model.Q * model.theta_inv[None, :]) @ model.Q.T))
-    return base - 0.25 * float(np.abs(ham.eigenvalues.real).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class LambdaPair:
     """Extremal Riccati eigenvalue functionals bounding the finite region."""
@@ -301,51 +295,61 @@ class LambdaPair:
     def in_Dinf(self) -> bool:
         return self.minus < 0.0 < self.plus
 
-    @property
-    def gap(self) -> float:
-        return self.plus - self.minus
-
 
 class TiltState:
     """One tilt and everything derived from it, each computed on first read
-    and kept, so a caller that builds one state per tilt solves each Riccati
-    equation once.
-
-    The maximal Riccati solutions ``sol`` at the tilt and ``dual`` at its
-    mirror ``theta^{-1} - xi`` give g, its gradient and Hessian, Lambda+-
-    and the finite-region and F0 margins; :meth:`in_finite_region` is the
-    one membership test of the finite region.  Where the ordered Schur form
-    fails (a tilt on the domain boundary) the solution is extrapolated along
-    ``inward`` (default: toward the symmetry center ``theta^{-1} / 2``); the
-    mirror uses the opposite direction.  The domain test ``in_D``, the
-    domain ``margin`` and the other routes to g, ``g_spectral`` and
-    ``g_integral`` (``None`` off the open domain), are kept alongside.
+    and kept: a caller that builds one state per tilt decomposes one doubled
+    matrix, that of the ``section`` component ``Pi xi`` (g, its derivatives
+    and the margins do not change along conserved directions, which only
+    grow ``K``).  Its eigenvalues give ``in_D`` and ``g_spectral``, the pair
+    of :func:`invariant_pair` g, its gradient and Hessian and the
+    finite-region and F0 margins; on the domain boundary the pair is
+    extrapolated along the section component of ``inward`` (default: toward
+    the symmetry center ``theta^{-1} / 2``).  ``sol`` and ``dual``, which
+    Lambda+- read, are the pair moved to the tilt and its mirror by
+    ``+-S_l``, the commuting lift of the conserved part ``l``.
     """
 
     def __init__(self, model: LinearModel, xi: np.ndarray,
                  inward: np.ndarray | None = None):
+        geometry = lineality_space(model)
         self.model = model
         self.xi = np.asarray(xi, dtype=float)
-        self.inward = (0.5 * model.theta_inv - self.xi if inward is None
-                       else np.asarray(inward, dtype=float))
+        self.section = geometry.project(self.xi)
+        self.inward = (geometry.center - self.section if inward is None
+                       else geometry.project(np.asarray(inward, dtype=float)))
 
-    def _solve(self, xi: np.ndarray, inward: np.ndarray) -> RiccatiSolution:
+    @cached_property
+    def _ham(self) -> HamiltonianData:
+        return hamiltonian(self.model, self.section)
+
+    @cached_property
+    def _pair(self) -> tuple[RiccatiSolution, RiccatiSolution]:
         try:
-            return riccati_maximal(self.model, xi)
+            return invariant_pair(self.model, self._ham)
         except RiccatiError:
-            return riccati_extrapolated(self.model, xi, inward)
+            return riccati_extrapolated(self.model, self.section, self.inward)
+
+    @cached_property
+    def _lift(self) -> np.ndarray:
+        """Commuting lift ``S_l`` of the conserved part ``l`` of the tilt."""
+        geometry = lineality_space(self.model)
+        return sum((b @ self.xi) * S for b, S in zip(geometry.L_basis, geometry.L_lifts))
 
     @cached_property
     def sol(self) -> RiccatiSolution:
-        return self._solve(self.xi, self.inward)
+        """Maximal solution at the tilt."""
+        return replace(self._pair[0], xi=self.xi, X=self._pair[0].X + self._lift)
 
     @cached_property
     def dual(self) -> RiccatiSolution:
-        return self._solve(self.model.theta_inv - self.xi, -self.inward)
+        """Maximal solution at the mirror ``theta^{-1} - xi``."""
+        return replace(self._pair[1], xi=self.model.theta_inv - self.xi,
+                       X=self._pair[1].X - self._lift)
 
     @cached_property
     def in_D(self) -> bool:
-        return in_domain(self.model, self.xi)
+        return not self._ham.on_axis.any()
 
     @cached_property
     def margin(self) -> float:
@@ -354,18 +358,21 @@ class TiltState:
     @cached_property
     def g(self) -> float:
         """g by the Riccati trace formula, on the canonical lift."""
-        lift = canonical_lift(self.model, self.xi)
+        lift = canonical_lift(self.model, self.section)
         Q = self.model.Q
-        return -0.5 * float(np.trace(Q.T @ (self.sol.X - lift.xi_tilde) @ Q))
+        return -0.5 * float(np.trace(Q.T @ (self._pair[0].X - lift.xi_tilde) @ Q))
 
     @cached_property
     def g_spectral(self) -> float:
-        return _g_spectral(self.model, self.xi)
+        """g from the spectrum of the doubled matrix."""
+        Q = self.model.Q
+        base = 0.25 * float(np.trace((Q * self.model.theta_inv[None, :]) @ Q.T))
+        return base - 0.25 * float(np.abs(self._ham.eigenvalues.real).sum())
 
     @cached_property
     def g_integral(self) -> float | None:
         """g by the frequency integral, which needs the open domain."""
-        return _g_integral(self.model, self.xi) if self.in_D else None
+        return _g_integral(self.model, self.section) if self.in_D else None
 
     def cross_check(self) -> None:
         """Raise unless the routes to g agree to ``G_AGREE_TOL``."""
@@ -375,13 +382,10 @@ class TiltState:
             raise NumericalError("g routes disagree: {}, {}, {}".format(*routes))
 
     @cached_property
-    def Y(self) -> np.ndarray:
-        """Gap between the maximal solution and the minimal one."""
-        return self.sol.X + self.model.theta_conj(self.dual.X)
-
-    @cached_property
     def _Y_inv(self) -> np.ndarray:
-        w, U = np.linalg.eigh(self.Y)
+        """Inverse gap between the maximal solution and the minimal one."""
+        sol, dual = self._pair
+        w, U = np.linalg.eigh(sol.X + self.model.theta_conj(dual.X))
         if w[0] <= 1e-12 * max(w[-1], 1.0):
             raise NumericalError(
                 f"gap matrix numerically singular (min eigenvalue {w[0]:.2e})")
@@ -394,12 +398,6 @@ class TiltState:
                                self._Y_inv)
 
     @cached_property
-    def lower(self) -> np.ndarray:
-        """Maximal solution plus the inverse stationary covariance (see
-        :attr:`lambdas`)."""
-        return self.sol.X + steady_covariance(self.model).Minv
-
-    @cached_property
     def lambdas(self) -> LambdaPair:
         """Eigenvalue functionals whose signs delimit the finite region.
 
@@ -409,7 +407,8 @@ class TiltState:
         covariance is used for the maximal solution at the mirror of zero,
         which it equals and which it computes with better conditioning.
         """
-        return LambdaPair(minus=-float(np.linalg.eigvalsh(self.lower)[0]),
+        lower = self.sol.X + steady_covariance(self.model).Minv
+        return LambdaPair(minus=-float(np.linalg.eigvalsh(lower)[0]),
                           plus=float(np.linalg.eigvalsh(self.dual.X)[0]))
 
     def sinf_margin(self, geometry: DomainGeometry) -> float:
@@ -422,7 +421,8 @@ class TiltState:
         is maximized by coordinate-wise bounded scalar ascent over the shift
         coefficients (heuristic, exact in all shipped examples).
         """
-        return _shift_margin(geometry, self.dual.X, self.lower)
+        return _shift_margin(geometry, self._pair[1].X,
+                             self._pair[0].X + steady_covariance(self.model).Minv)
 
     def in_finite_region(self, geometry: DomainGeometry) -> bool:
         """Whether the tilt lies in the finite region: inside the open
@@ -445,7 +445,7 @@ class TiltState:
         positive ``M^{-1}`` never bind: the margin is that of
         :meth:`sinf_margin` with ``M^{-1}`` dropped.
         """
-        return _shift_margin(geometry, self.dual.X, self.sol.X)
+        return _shift_margin(geometry, self._pair[1].X, self._pair[0].X)
 
     def hessian(self, frame: np.ndarray) -> np.ndarray:
         """Hessian of g in the directions of the rows of ``frame``.
@@ -457,14 +457,14 @@ class TiltState:
         """
         frame = np.atleast_2d(np.asarray(frame, dtype=float))
         model, Q = self.model, self.model.Q
-        slope = model.theta_inv - 2.0 * self.xi
+        slope = model.theta_inv - 2.0 * self.section
         Y_inv = self._Y_inv
         moves = []
         for u in frame:
             A_u = (Q * u[None, :]) @ Q.T
             C_u = (Q * (u * slope)[None, :]) @ Q.T
-            dY = (self.sol.sensitivity(A_u, C_u)
-                  + model.theta_conj(self.dual.sensitivity(-A_u, C_u)))
+            dY = (self._pair[0].sensitivity(A_u, C_u)
+                  + model.theta_conj(self._pair[1].sensitivity(-A_u, C_u)))
             moves.append(Y_inv @ dY @ Y_inv)
         sigmas = np.einsum("kd,dij->kij", frame, flux_density_stack(model))
         H = -0.5 * np.einsum("aij,bij->ab", sigmas, np.array(moves))
@@ -527,6 +527,10 @@ def _ray_exit(member, lo: float, hi: float, tol: float,
     bracket ``[lo, hi]`` is bisected down to width ``tol`` and its midpoint
     returned.  Convexity along the ray guarantees a single crossing.
     """
+    # a bracket never narrows below one ulp, and a nan width ends nothing
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise SpecificationError(
+            f"bisection tolerance must be finite and positive, got {tol!r}")
     while grow and member(hi):
         lo = hi
         hi *= 2.0
@@ -555,8 +559,7 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
         raise SpecificationError("direction must be a unit vector")
     if np.linalg.norm(geometry.L_basis @ u) > 1e-8:
         raise SpecificationError("direction must be orthogonal to the lineality space")
-    center = geometry.center
-    return _ray_exit(lambda t: in_domain(model, center + t * u), 0.0, 1.0, tol)
+    return _ray_exit(lambda t: in_domain(model, geometry.center + t * u), 0.0, 1.0, tol)
 
 
 def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,

@@ -129,6 +129,14 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _parse_tilt(text: str, d: int) -> np.ndarray:
+    """A comma-separated tilt with ``d`` finite components."""
+    xi = np.array([float(v) for v in text.split(",")])
+    if xi.shape != (d,) or not np.all(np.isfinite(xi)):
+        raise SpecificationError(f"each tilt needs {d} finite components: {text!r}")
+    return xi
+
+
 def _load(args) -> tuple[LinearModel, DomainGeometry]:
     spec = load_spec(args.spec)
     model = assemble_model(spec)
@@ -185,6 +193,8 @@ def _phi_grid(model: LinearModel, geometry: DomainGeometry,
     """Flux grid in frame coordinates, centered at the mean flux."""
     if per_axis < 2:
         raise SpecificationError("need at least 2 grid points per axis")
+    if extent is not None and not (np.isfinite(extent) and extent > 0.0):
+        raise SpecificationError(f"grid half-width must be finite and positive: {extent!r}")
     mean = entropy_production(model).mean_flux
     center = geometry.to_frame(mean)
     scale = float(np.linalg.norm(mean))
@@ -238,10 +248,7 @@ def cmd_cgf(args) -> int:
 
     rows = []
     if args.xi:
-        xi = np.array([float(v) for v in args.xi.split(",")])
-        if xi.shape != (model.d,):
-            raise SpecificationError(f"--xi needs {model.d} components")
-        rows.append(row_for(xi))
+        rows.append(row_for(_parse_tilt(args.xi, model.d)))
     else:
         geometry.require_section()
         if args.radii < 1 or args.dirs < 1:
@@ -277,12 +284,7 @@ def cmd_simulate(args) -> int:
                         T=args.T, h=args.h)
     model, geometry = _load(args)
     if args.tilts:
-        tilts = []
-        for part in args.tilts.split(";"):
-            vec = np.array([float(v) for v in part.split(",")])
-            if vec.shape != (model.d,):
-                raise SpecificationError(f"each tilt needs {model.d} components")
-            tilts.append(vec)
+        tilts = [_parse_tilt(part, model.d) for part in args.tilts.split(";")]
     else:
         tilts = _default_tilts(model, geometry)
     config = SimConfig(seed=args.seed, n_traj=args.traj, horizon=args.T,

@@ -277,7 +277,8 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
 
     if boundary:
         value, xi_star = _boundary_supremum(model, geometry, phi)
-        value = max(value, f_c)
+        if f_c > value:
+            value, xi_star = f_c, state.xi
         return RateResult(phi=phi, I_value=value, xi_star=xi_star,
                           interior=False, in_F0=False,
                           grad_residual=float(np.linalg.norm(grad)),

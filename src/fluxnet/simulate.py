@@ -86,10 +86,10 @@ class SimConfig:
     def resolved(self, model: LinearModel) -> "SimConfig":
         step = self.step if self.step is not None else default_step(model)
         horizon = self.horizon if self.horizon is not None else default_horizon(model)
-        if not (step > 0.0):
-            raise SpecificationError("step must be positive")
-        if horizon < 10.0 * step:
-            raise SpecificationError("horizon must be at least 10 steps long")
+        if not (np.isfinite(step) and step > 0.0):
+            raise SpecificationError("step must be finite and positive")
+        if not (np.isfinite(horizon) and horizon >= 10.0 * step):
+            raise SpecificationError("horizon must be finite and at least 10 steps long")
         if self.n_traj < 1:
             raise SpecificationError("need at least one trajectory")
         return replace(self, horizon=float(horizon), step=float(step))

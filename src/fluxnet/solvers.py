@@ -1,11 +1,11 @@
 """Dense matrix kernels.
 
 Lyapunov solves for the stationary covariance, the doubled-dimension
-Hamiltonian matrix attached to a tilt, maximal Riccati solutions extracted
-from its invariant subspaces, matrix exponentials and adaptive quadrature
-over the frequency axis.  Everything here is pure and reentrant; matrices
-stay at desk scale (at most 24 x 24), so dense Schur factorizations are
-the right tool throughout.
+Hamiltonian matrix attached to a tilt with its eigendecomposition, the
+maximal Riccati solutions at a tilt and at its mirror read off the
+invariant subspaces of that one decomposition, matrix exponentials and
+adaptive quadrature over the frequency axis.  Everything here is pure and
+reentrant; matrices stay at desk scale (at most 24 x 24).
 
 The frequency quadrature takes a vectorized integrand and runs globally
 adaptive Gauss-Kronrod 21-point panels on the compactified line; each
@@ -32,11 +32,11 @@ __all__ = [
     "solve_lyapunov",
     "steady_covariance",
     "hamiltonian",
-    "riccati_maximal",
+    "invariant_pair",
+    "riccati_pair",
     "riccati_extrapolated",
     "matrix_exponential",
     "integrate_frequency",
-    "on_axis",
 ]
 
 #: an eigenvalue of the doubled matrix ``K`` whose real part is at most this
@@ -95,27 +95,16 @@ def steady_covariance(model: LinearModel) -> SteadyState:
     return solve_lyapunov(model.A, model.B)
 
 
-def on_axis(K: np.ndarray, real_parts: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues of ``K``, given by the real parts of the
-    spectrum, that lie on the imaginary axis in the sense of ``AXIS_RTOL``."""
-    size = np.abs(real_parts)
-    # ||K||_2 <= ||K||_F, so the SVD is needed only when the cheap bound
-    # does not decide
-    mask = size <= AXIS_RTOL * np.linalg.norm(K)
-    if mask.any():
-        mask &= size <= AXIS_RTOL * np.linalg.norm(K, 2)
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianData:
-    """Tilted drift/cost blocks and the associated doubled matrix."""
+    """Doubled matrix of a tilt, its eigendecomposition and the mask of the
+    eigenvalues on the imaginary axis in the sense of ``AXIS_RTOL``."""
 
     xi: np.ndarray
-    A_xi: np.ndarray
-    C_xi: np.ndarray
     K: np.ndarray
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    on_axis: np.ndarray
 
 
 def tilted_blocks(model: LinearModel, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,24 +127,23 @@ def _doubled(model: LinearModel, A_xi: np.ndarray, C_xi: np.ndarray) -> np.ndarr
 
 
 def hamiltonian(model: LinearModel, xi: np.ndarray) -> HamiltonianData:
-    """Assemble the doubled matrix of a tilt and compute its spectrum.
+    """Assemble the doubled matrix of a tilt and decompose it.
 
     The spectrum is symmetric with respect to both the real and the
     imaginary axis.
     """
-    A_xi, C_xi = tilted_blocks(model, xi)
-    K = _doubled(model, A_xi, C_xi)
+    K = _doubled(model, *tilted_blocks(model, xi))
     try:
-        eigs = np.linalg.eigvals(K)
+        eigs, vecs = np.linalg.eig(K)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on the doubled matrix: {exc}") from exc
-    return HamiltonianData(
-        xi=np.asarray(xi, dtype=float),
-        A_xi=A_xi,
-        C_xi=C_xi,
-        K=K,
-        eigenvalues=eigs,
-    )
+    size = np.abs(eigs.real)
+    # ||K||_2 <= ||K||_F: the SVD decides only what the cheap bound cannot
+    axis = size <= AXIS_RTOL * np.linalg.norm(K)
+    if axis.any():
+        axis &= size <= AXIS_RTOL * np.linalg.norm(K, 2)
+    return HamiltonianData(xi=np.asarray(xi, dtype=float), K=K, eigenvalues=eigs,
+                           eigenvectors=vecs, on_axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +152,17 @@ class RiccatiSolution:
 
     ``X`` solves ``X B X - X A_xi - A_xi* X - C_xi = 0``; the closed-loop
     matrix ``D = A_xi - B X`` carries the stable half of the doubled-matrix
-    spectrum.  ``residual``, the 2-norm of the left-hand side, is computed
-    on first read.
+    spectrum.  ``D`` and ``residual``, the 2-norm of the left-hand side, are
+    computed on first read.
     """
 
     model: LinearModel = field(repr=False)
     xi: np.ndarray
     X: np.ndarray
-    D: np.ndarray
+
+    @functools.cached_property
+    def D(self) -> np.ndarray:
+        return tilted_blocks(self.model, self.xi)[0] - self.model.B @ self.X
 
     @functools.cached_property
     def residual(self) -> float:
@@ -188,46 +179,49 @@ class RiccatiSolution:
         return sla.solve_continuous_lyapunov(self.D.T, -(XA + XA.T + C_dot))
 
 
-def riccati_maximal(model: LinearModel, xi: np.ndarray) -> RiccatiSolution:
-    """Maximal self-adjoint Riccati solution for a tilt inside the domain.
-
-    The solution is read off an ordered real Schur form of the doubled
-    matrix: the invariant subspace of the eigenvalues with positive real
-    part is a graph ``Ran [I; X]`` over the first block, and the closed loop
-    ``A_xi - B X`` then carries the mirrored (stable) half of the spectrum.
-    The diagonal of the standardized Schur form holds the real parts of the
-    eigenvalues, which are checked with :func:`on_axis`.
+def invariant_pair(model: LinearModel,
+                   ham: HamiltonianData) -> tuple[RiccatiSolution, RiccatiSolution]:
+    """Maximal Riccati solutions at a tilt and at its mirror
+    ``theta^{-1} - xi`` from the eigenvectors of the tilt's doubled matrix
+    (Potter, 1966): the antistable ones ``[V1; V2]`` span the graph of the
+    maximal solution ``X = Re(V2 V1^{-1})``, whose closed loop ``A_xi - B X``
+    carries the stable half of the spectrum, the stable ones that of the
+    minimal solution ``X_min``, and ``-theta X_min theta`` is maximal at the
+    mirror.
 
     Raises
     ------
     RiccatiError
-        If eigenvalues sit on the imaginary axis (tilt on or outside the
-        domain boundary) or the graph condition fails.
+        If eigenvalues lie on the imaginary axis (the tilt is on or
+        outside the domain boundary), the antistable subspace has
+        the wrong dimension, or a graph condition fails.
     """
-    A_xi, C_xi = tilted_blocks(model, xi)
-    K = _doubled(model, A_xi, C_xi)
-    m = model.dim
-    try:
-        T, Z, sdim = sla.schur(K, output="real", sort=lambda re, im: re > 0.0)
-    except sla.LinAlgError as exc:
-        raise RiccatiError(f"ordered Schur factorization failed: {exc}") from exc
-    if on_axis(K, np.diag(T)).any():
+    m, eigs = model.dim, ham.eigenvalues
+    if ham.on_axis.any():
         raise RiccatiError(
             "doubled matrix has imaginary-axis eigenvalues "
-            f"(|Re| = {np.abs(np.diag(T)).min():.2e}); "
+            f"(|Re| = {np.abs(eigs.real).min():.2e}); "
             "tilt is on or outside the domain boundary")
-    if sdim != m:
+    anti = eigs.real > 0.0
+    if anti.sum() != m:
         raise RiccatiError(
-            f"antistable subspace has dimension {sdim}, expected {m}")
-    V1 = Z[:m, :m]
-    V2 = Z[m:, :m]
-    svals = np.linalg.svd(V1, compute_uv=False)
-    if svals[-1] < 1e-12 * svals[0]:
-        raise RiccatiError(
-            f"graph condition failed (smallest singular value {svals[-1]:.2e})")
-    X = _sym(np.linalg.solve(V1.T, V2.T).T)
-    D = A_xi - model.B @ X
-    return RiccatiSolution(model=model, xi=np.asarray(xi, dtype=float), X=X, D=D)
+            f"antistable subspace has dimension {anti.sum()}, expected {m}")
+    graphs = []
+    for V in (ham.eigenvectors[:, anti], ham.eigenvectors[:, ~anti]):
+        svals = np.linalg.svd(V[:m], compute_uv=False)
+        if svals[-1] < 1e-12 * svals[0]:
+            raise RiccatiError(
+                f"graph condition failed (smallest singular value {svals[-1]:.2e})")
+        graphs.append(_sym(np.linalg.solve(V[:m].T, V[m:].T).T.real))
+    return (RiccatiSolution(model=model, xi=ham.xi, X=graphs[0]),
+            RiccatiSolution(model=model, xi=model.theta_inv - ham.xi,
+                            X=-model.theta_conj(graphs[1])))
+
+
+def riccati_pair(model: LinearModel,
+                 xi: np.ndarray) -> tuple[RiccatiSolution, RiccatiSolution]:
+    """:func:`invariant_pair` of the decomposition of the tilt."""
+    return invariant_pair(model, hamiltonian(model, xi))
 
 
 #: inward offsets used when extrapolating Riccati solutions to the boundary;
@@ -237,15 +231,14 @@ BOUNDARY_OFFSETS = tuple(1e-2 * 0.5 ** k for k in range(14))
 
 
 def riccati_extrapolated(model: LinearModel, xi: np.ndarray,
-                         inward: np.ndarray,
-                         offsets: tuple[float, ...] = BOUNDARY_OFFSETS) -> RiccatiSolution:
-    """Riccati solution at a boundary tilt by inward extrapolation.
+                         inward: np.ndarray) -> tuple[RiccatiSolution, RiccatiSolution]:
+    """Riccati pair at a boundary tilt by inward extrapolation.
 
-    Solves at ``xi + s * inward`` for a ladder of offsets and extrapolates
-    entrywise with a model ``X(s) = X0 + a sqrt(s) + b s + c s^{3/2}``; the
-    square-root term captures the generic behavior of the closing eigenvalue
-    pair near the boundary.  Schur ordering directly on the boundary would be
-    ill conditioned, the ladder keeps every solve comfortably interior.
+    Solves the pair at ``xi + s * inward`` for the ladder of
+    ``BOUNDARY_OFFSETS`` and extrapolates both solutions entrywise with a
+    model ``X(s) = X0 + a sqrt(s) + b s + c s^{3/2}``; the square-root term
+    captures the generic behavior of the closing eigenvalue pair near the
+    boundary, where the invariant subspaces are ill conditioned.
     """
     xi = np.asarray(xi, dtype=float)
     inward = np.asarray(inward, dtype=float)
@@ -254,22 +247,23 @@ def riccati_extrapolated(model: LinearModel, xi: np.ndarray,
         raise RiccatiError("boundary extrapolation needs an inward direction")
     inward = inward / norm
     samples, good = [], []
-    for s in offsets:
+    for s in BOUNDARY_OFFSETS:
         try:
-            samples.append(riccati_maximal(model, xi + s * inward).X)
-            good.append(s)
+            sol, dual = riccati_pair(model, xi + s * inward)
         except RiccatiError:
             continue
+        samples.append(np.concatenate([sol.X.ravel(), dual.X.ravel()]))
+        good.append(s)
     if len(good) < 5:
         raise RiccatiError(
             f"only {len(good)} interior ladder points available for extrapolation")
     s = np.array(good)
     design = np.column_stack([np.ones_like(s), np.sqrt(s), s, s ** 1.5])
-    stack = np.array(samples).reshape(len(good), -1)
-    coef, *_ = np.linalg.lstsq(design, stack, rcond=None)
-    X = _sym(coef[0].reshape(model.dim, model.dim))
-    A_xi, _ = tilted_blocks(model, xi)
-    return RiccatiSolution(model=model, xi=xi, X=X, D=A_xi - model.B @ X)
+    coef, *_ = np.linalg.lstsq(design, np.array(samples), rcond=None)
+    X, X_dual = (_sym(block.reshape(model.dim, model.dim))
+                 for block in np.split(coef[0], 2))
+    return (RiccatiSolution(model=model, xi=xi, X=X),
+            RiccatiSolution(model=model, xi=model.theta_inv - xi, X=X_dual))
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -226,7 +226,7 @@ def mirror_f0_margin(model, geometry, state):
     the mirror ``Pi theta^{-1} - xi``, lifted back by the conserved part of
     ``theta^{-1}``, and the largest shift margin of the four obstructions of
     the tilt and its mirror (the construction the shift identity replaced)."""
-    from fluxnet import commuting_lift
+    from fluxnet import commuting_lift, steady_covariance
     from fluxnet.cgf import TiltState, _shift_ascent
 
     mirror = TiltState(model, geometry.project(model.theta_inv) - state.xi)
@@ -238,6 +238,7 @@ def mirror_f0_margin(model, geometry, state):
         return hi - lo
     rep = commuting_lift(model, (geometry.L_basis.T @ geometry.L_basis)
                          @ model.theta_inv)
+    Minv = steady_covariance(model).Minv
     return _shift_ascent(geometry.L_lifts, [
-        (state.dual.X, -1.0), (state.lower, 1.0),
-        (mirror.dual.X - rep, 1.0), (mirror.lower + rep, -1.0)])
+        (state.dual.X, -1.0), (state.sol.X + Minv, 1.0),
+        (mirror.dual.X - rep, 1.0), (mirror.sol.X + Minv + rep, -1.0)])

@@ -31,7 +31,7 @@ from fluxnet import (
     lineality_space,
     parse_spec,
     rate_function,
-    riccati_maximal,
+    riccati_pair,
     section_boundary,
     steady_covariance,
 )
@@ -150,18 +150,18 @@ def test_criterion_06_riccati_anchors(lozenge_124, heatpump):
     with criterion(6, "Riccati anchors", 10.0):
         rng = np.random.default_rng(1006)
         for m in (lozenge_124, heatpump):
-            sol0 = riccati_maximal(m, np.zeros(m.d))
+            sol0 = riccati_pair(m, np.zeros(m.d))[0]
             assert np.linalg.norm(sol0.X, 2) < 1e-12
             assert sol0.residual < 1e-9
-            sol1 = riccati_maximal(m, m.theta_inv)
+            sol1 = riccati_pair(m, m.theta_inv)[0]
             M = steady_covariance(m).M
             anchor = m.theta_conj(np.linalg.inv(M))
             assert np.linalg.norm(sol1.X - anchor, 2) < 1e-8
             assert sol1.residual < 1e-9 * (1 + np.linalg.norm(sol1.X, 2) ** 2)
             for _ in range(25):
                 xi = random_tilt_in_D0(rng, m)
-                sol = riccati_maximal(m, xi)
-                dual = riccati_maximal(m, m.theta_inv - xi)
+                sol = riccati_pair(m, xi)[0]
+                dual = riccati_pair(m, m.theta_inv - xi)[0]
                 Y = sol.X + m.theta_conj(dual.X)
                 assert sol.residual < 1e-9 * (1 + np.linalg.norm(sol.X, 2) ** 2)
                 assert np.linalg.eigvals(sol.D).real.max() < 0.0

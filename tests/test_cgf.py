@@ -4,33 +4,38 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from fluxnet import (
     DomainError,
     NumericalError,
     RiccatiError,
+    SpecificationError,
     assemble_model,
     canonical_lift,
     commuting_lift,
+    condition_R_scan,
     g_hessian_quadform,
     g_value,
+    hamiltonian,
     in_domain,
     lineality_space,
     load_spec,
     parse_spec,
-    riccati_maximal,
+    riccati_pair,
     section_boundary,
     section_inf_boundary,
     steady_covariance,
 )
-from fluxnet import cgf
+from fluxnet import cgf, solvers
 from fluxnet.cgf import (
     E_matrix,
     E_matrix_from_lift,
     TiltState,
     domain_margin,
 )
+from fluxnet.solvers import BOUNDARY_OFFSETS, tilted_blocks
 
 from conftest import (
     dimer_1_64_doc,
@@ -160,6 +165,38 @@ class TestDomain:
             assert in_domain(model, xi)
             res = g_value(model, xi)
             assert res.in_D and abs(res.g_integral) < 1e-9
+
+    def test_state_domain_test_is_in_domain(self, lozenge_1264):
+        # the state's verdict at the seeded points of the tests above
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            xi = random_tilt_in_D0(rng, lozenge_1264)
+            assert TiltState(lozenge_1264, xi).in_D == in_domain(lozenge_1264, xi)
+        for name in ("lozenge_1_2_64", "triangular_1_2_64"):
+            model = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+            geom = lineality_space(model)
+            rng = np.random.default_rng(11)
+            verdicts = []
+            for _ in range(24):
+                dc = rng.normal(size=geom.section_dim)
+                u = geom.from_frame(dc / np.linalg.norm(dc))
+                offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, -0.5)
+                r = section_boundary(model, geom, u, tol=1e-9) * (1.0 + offset)
+                xi = geom.center + r * u + rng.normal(size=geom.dim_L) @ geom.L_basis
+                verdicts.append(TiltState(model, xi).in_D)
+                assert verdicts[-1] == in_domain(model, xi), xi
+            assert any(verdicts) and not all(verdicts)
+
+    def test_g_vanishes_on_large_conserved_tilts(self, lozenge_124):
+        # g is read at the section component, so a large conserved part
+        # neither fails the Riccati pair nor the quadrature
+        m = assemble_model(parse_spec(two_dimers_doc()))
+        for model, xi in ((lozenge_124, 2048.0 * np.ones(3)),
+                          (lozenge_124, 1e5 * np.ones(3)),
+                          (m, 8192.0 * lineality_space(m).L_basis[1])):
+            state = g_value(model, xi)
+            state.cross_check()
+            assert abs(state.g) <= 1e-12 and abs(state.g_spectral) <= 1e-12
 
     def test_margin_shift_invariant_and_homogeneous(self, lozenge_124,
                                                     heatpump):
@@ -371,26 +408,70 @@ class TestDerivatives:
 
     def test_one_riccati_pair_per_tilt(self, lozenge_124,
                                        lozenge_124_geometry, monkeypatch):
-        # every route of the state reads the solutions at the tilt and at
-        # its mirror, or solves none
+        # every route of the state reads the one decomposition of the
+        # doubled matrix at the section component, and no ladder runs
         tilts = []
 
         def counted(model, xi):
             tilts.append(np.array(xi))
-            return riccati_maximal(model, xi)
+            return hamiltonian(model, xi)
 
-        monkeypatch.setattr(cgf, "riccati_maximal", counted)
+        monkeypatch.setattr(cgf, "hamiltonian", counted)
+        monkeypatch.setattr(solvers, "hamiltonian", counted)
+        geom = lozenge_124_geometry
         xi = np.array([0.2, 0.3, 0.1])
         state = g_value(lozenge_124, xi)
         state.cross_check()
-        geom = lozenge_124_geometry
-        assert state.in_D and state.margin > 0.0
+        assert state.in_D
         assert state.grad.shape == (3,) and state.lambdas.in_Dinf
         assert state.sinf_margin(geom) > 0.0 and state.f0_margin(geom) > 0.0
         assert state.hessian(geom.frame).shape == (2, 2)
-        assert len(tilts) == 2
-        np.testing.assert_array_equal(tilts[0], xi)
-        np.testing.assert_array_equal(tilts[1], lozenge_124.theta_inv - xi)
+        assert len(tilts) == 1
+        np.testing.assert_allclose(tilts[0], geom.project(xi), atol=1e-15)
+        assert state.margin > 0.0
+
+    def test_one_ladder_per_extrapolated_state(self, lozenge_124,
+                                               lozenge_124_geometry,
+                                               monkeypatch):
+        # at a boundary tilt of the gap scan the tilt and its mirror are
+        # extrapolated along one ladder
+        m, geom = lozenge_124, lozenge_124_geometry
+        scan = condition_R_scan(m, geom, n_dirs=8)
+        calls = []
+
+        def counted(model, xi):
+            calls.append(np.array(xi))
+            return riccati_pair(model, xi)
+
+        monkeypatch.setattr(solvers, "riccati_pair", counted)
+        extrapolated = 0
+        for dc, xi, minus, plus in zip(scan.directions, scan.xi_boundary,
+                                       scan.Lambda_minus, scan.Lambda_plus):
+            state = TiltState(m, xi, inward=-geom.from_frame(dc))
+            calls.clear()
+            if state.in_D:
+                continue
+            lam = state.lambdas
+            assert len(calls) == len(BOUNDARY_OFFSETS)
+            assert lam.minus == minus and lam.plus == plus
+            extrapolated += 1
+        assert extrapolated > 0
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_pair_matches_stabilizing_are(self, name):
+        # the stabilizing solution of the tilted Riccati equation is the
+        # maximal one, at the tilt and at its mirror
+        m = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            xi = random_tilt_in_D0(rng, m)
+            pair = riccati_pair(m, xi)
+            for sol, tilt in zip(pair, (xi, m.theta_inv - xi)):
+                A_xi, C_xi = tilted_blocks(m, tilt)
+                ref = scipy.linalg.solve_continuous_are(
+                    A_xi, m.Q, C_xi, np.eye(m.d))
+                assert (np.linalg.norm(sol.X - ref)
+                        <= 1e-12 * np.linalg.norm(ref)), (xi, tilt)
 
 
 class TestFiniteRegion:
@@ -436,14 +517,14 @@ class TestFiniteRegion:
         m, geom = lozenge_124, lozenge_124_geometry
         u = geom.frame[0]
         limit = 0.5 * section_inf_boundary(m, geom, u)
-        solve = TiltState._solve
+        pair = TiltState.__dict__["_pair"]
 
-        def failing_beyond_limit(state, xi, inward):
+        def failing_beyond_limit(state):
             if np.linalg.norm(state.xi) > limit:
                 raise RiccatiError("no interior ladder points")
-            return solve(state, xi, inward)
+            return pair.func(state)
 
-        monkeypatch.setattr(TiltState, "_solve", failing_beyond_limit)
+        monkeypatch.setattr(TiltState, "_pair", property(failing_beyond_limit))
         assert not TiltState(m, 1.1 * limit * u).in_finite_region(geom)
         assert abs(section_inf_boundary(m, geom, u, tol=1e-6) - limit) <= 1e-6
 
@@ -457,8 +538,8 @@ class TestFiniteRegion:
         Minv = np.linalg.inv(steady_covariance(m).M)
 
         def simplex_margin(xi):
-            lower = riccati_maximal(m, xi).X + Minv
-            upper = riccati_maximal(m, m.theta_inv - xi).X
+            lower = riccati_pair(m, xi)[0].X + Minv
+            upper = riccati_pair(m, m.theta_inv - xi)[0].X
 
             def negated(coeffs):
                 shift = sum(c * lift for c, lift in zip(coeffs, geom.L_lifts))
@@ -528,8 +609,8 @@ class TestF0Margin:
         for xi in _finite_region_points(m, geom, 4)[::3]:
             for ell in (P_L @ m.theta_inv,
                         geom.L_basis.T @ rng.normal(size=geom.dim_L)):
-                shifted = riccati_maximal(m, xi + ell).X
-                lifted = riccati_maximal(m, xi).X + commuting_lift(m, ell)
+                shifted = riccati_pair(m, xi + ell)[0].X
+                lifted = riccati_pair(m, xi)[0].X + commuting_lift(m, ell)
                 assert (np.linalg.norm(shifted - lifted)
                         <= 1e-10 * np.linalg.norm(shifted))
 
@@ -541,14 +622,27 @@ class TestF0Margin:
 
         def counted(model, xi):
             calls.append(xi)
-            return riccati_maximal(model, xi)
+            return hamiltonian(model, xi)
 
-        monkeypatch.setattr(cgf, "riccati_maximal", counted)
+        monkeypatch.setattr(cgf, "hamiltonian", counted)
         assert state.f0_margin(lozenge_124_geometry) > 0.0
         assert calls == []
 
 
 class TestSectionGeometry:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, lozenge_124,
+                                             lozenge_124_geometry, tol):
+        # a zero or negative width never ends the bisection, and nan or inf
+        # skips it
+        m, geom = lozenge_124, lozenge_124_geometry
+        u = geom.frame[0]
+        with pytest.raises(SpecificationError, match="bisection tolerance"):
+            section_boundary(m, geom, u, tol=tol)
+        for hint in (None, 0.3):
+            with pytest.raises(SpecificationError, match="bisection tolerance"):
+                section_inf_boundary(m, geom, u, tol=tol, bracket_hint=hint)
+
     def test_triangular_equilibrium_disk(self, triangular_eq):
         geom = lineality_space(triangular_eq)
         for ang in np.linspace(0.0, np.pi, 6):

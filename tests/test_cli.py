@@ -209,6 +209,40 @@ class TestTolerance:
         assert "--tol" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["gap-scan", "--dirs", "8"], ["cgf", "--dirs", "2", "--radii", "1"]])
+    def test_tol_not_finite_positive_exit_2(self, command, tol, capsys):
+        # a zero or negative width never ends the bisection, and nan skips it
+        code, out, err = run_cli(
+            [command[0], str(CONFIGS / "lozenge_1_2_4.json"), *command[1:],
+             "--tol", tol], capsys)
+        assert code == 2
+        assert "bisection tolerance must be finite and positive" in err
+        assert out == ""
+
+
+class TestNumericInput:
+    @pytest.mark.parametrize("args, message", [
+        (["rate", "--extent", "0"], "grid half-width"),
+        (["rate", "--extent", "-1"], "grid half-width"),
+        (["rate", "--extent", "nan"], "grid half-width"),
+        (["rate", "--extent", "inf"], "grid half-width"),
+        (["simulate", "--T", "nan"], "horizon must be finite"),
+        (["simulate", "--T", "inf"], "horizon must be finite"),
+        (["simulate", "--h", "nan"], "step must be finite"),
+        (["simulate", "--tilts", "nan,0,0"], "finite components"),
+        (["simulate", "--tilts", "0.1,0,0;0,inf,0"], "finite components"),
+        (["cgf", "--xi", "nan,0,0"], "finite components"),
+    ])
+    def test_non_finite_or_degenerate_exit_2(self, args, message, capsys):
+        code, out, err = run_cli(
+            [args[0], str(CONFIGS / "lozenge_1_2_4.json"), *args[1:]], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+
 class TestSingleReservoir:
     """Every subcommand answers or exits with a typed error on d = 1."""
 

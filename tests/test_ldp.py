@@ -165,6 +165,9 @@ class TestRateFunction:
         # the ascent is pinned inside the limit, below the free maximum
         assert not res.interior and res.conjectural_global
         assert 0.0 < res.I_value <= free.I_value
+        # the reported tilt attains the reported value
+        attained = float(res.xi_star @ phi) - TiltState(m, res.xi_star).g
+        assert abs(res.I_value - attained) <= 1e-9
 
     def test_interior_with_two_conserved_directions(self):
         # two decoupled dimers: the lineality space has dimension 2, so the

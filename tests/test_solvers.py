@@ -20,12 +20,12 @@ from fluxnet import (
     load_spec,
     matrix_exponential,
     parse_spec,
-    riccati_maximal,
+    riccati_pair,
     solve_lyapunov,
     steady_covariance,
 )
 from fluxnet import cgf
-from fluxnet.cgf import E_matrix, TiltState, _g_integral, _g_spectral, in_domain
+from fluxnet.cgf import E_matrix, TiltState, _g_integral, in_domain
 from fluxnet.solvers import MAX_PANELS, _gk21_panels, tilted_blocks
 
 from conftest import lozenge_doc, random_network_doc, random_tilt_in_D0
@@ -101,13 +101,13 @@ class TestHamiltonian:
 
 class TestRiccati:
     def test_zero_tilt(self, lozenge_124):
-        sol = riccati_maximal(lozenge_124, np.zeros(3))
+        sol = riccati_pair(lozenge_124, np.zeros(3))[0]
         assert np.linalg.norm(sol.X, 2) < 1e-12
         assert sol.residual < 1e-9
 
     def test_inverse_temperature_anchor(self, lozenge_124, heatpump):
         for m in (lozenge_124, heatpump):
-            sol = riccati_maximal(m, m.theta_inv)
+            sol = riccati_pair(m, m.theta_inv)[0]
             M = steady_covariance(m).M
             anchor = m.theta_conj(np.linalg.inv(M))
             assert np.linalg.norm(sol.X - anchor, 2) < 1e-8
@@ -117,7 +117,7 @@ class TestRiccati:
         rng = np.random.default_rng(7)
         for _ in range(10):
             xi = random_tilt_in_D0(rng, m)
-            sol = riccati_maximal(m, xi)
+            sol = riccati_pair(m, xi)[0]
             assert sol.residual < 1e-9 * (1.0 + np.linalg.norm(sol.X, 2) ** 2)
             assert np.linalg.eigvals(sol.D).real.max() < 0.0
             assert np.linalg.eigvalsh(sol.X)[0] > 0.0
@@ -125,7 +125,7 @@ class TestRiccati:
     def test_closed_loop_carries_stable_half(self, lozenge_124):
         m = lozenge_124
         xi = np.array([0.3, 0.1, 0.05])
-        sol = riccati_maximal(m, xi)
+        sol = riccati_pair(m, xi)[0]
         eigs_D = np.linalg.eigvals(sol.D)
         K_eigs = hamiltonian(m, xi).eigenvalues
         stable = K_eigs[K_eigs.real < 0.0]
@@ -137,7 +137,7 @@ class TestRiccati:
         m = lozenge_124
         rng = np.random.default_rng(8)
         xi = random_tilt_in_D0(rng, m)
-        sol = riccati_maximal(m, xi)
+        sol = riccati_pair(m, xi)[0]
         K = hamiltonian(m, xi).K
         eigs, vecs = np.linalg.eig(K)
         anti = [k for k in range(len(eigs)) if eigs[k].real > 0.0]
@@ -184,7 +184,7 @@ class TestRiccati:
             A_xi, C_xi = tilted_blocks(m, xi)
             res = X_min @ m.B @ X_min - X_min @ A_xi - A_xi.T @ X_min - C_xi
             assert np.linalg.norm(res, 2) < 1e-9
-            sol = riccati_maximal(m, xi)
+            sol = riccati_pair(m, xi)[0]
             assert np.linalg.eigvalsh(sol.X - X_min)[0] > 0.0
 
     def test_translation_by_conserved_direction(self, lozenge_124):
@@ -193,8 +193,8 @@ class TestRiccati:
         xi = random_tilt_in_D0(rng, m)
         lam = 0.37
         eta_tilde = lam * commuting_lift(m, np.ones(3))
-        a = riccati_maximal(m, xi + lam * np.ones(3))
-        b = riccati_maximal(m, xi)
+        a = riccati_pair(m, xi + lam * np.ones(3))[0]
+        b = riccati_pair(m, xi)[0]
         assert np.linalg.norm(a.X - (b.X + eta_tilde), 2) < 1e-8
 
     def test_concavity(self, lozenge_124):
@@ -204,8 +204,8 @@ class TestRiccati:
             x1 = random_tilt_in_D0(rng, m)
             x2 = random_tilt_in_D0(rng, m)
             t = rng.uniform(0.2, 0.8)
-            X_mix = riccati_maximal(m, t * x1 + (1 - t) * x2).X
-            X_lin = t * riccati_maximal(m, x1).X + (1 - t) * riccati_maximal(m, x2).X
+            X_mix = riccati_pair(m, t * x1 + (1 - t) * x2)[0].X
+            X_lin = t * riccati_pair(m, x1)[0].X + (1 - t) * riccati_pair(m, x2)[0].X
             assert np.linalg.eigvalsh(X_mix - X_lin)[0] > -1e-8
 
     def test_rescaling_covariance(self):
@@ -221,15 +221,15 @@ class TestRiccati:
         m_scaled = assemble_model(parse_spec(doc_scaled))
         rng = np.random.default_rng(13)
         xi = random_tilt_in_D0(rng, m)
-        X = riccati_maximal(m, xi).X
-        X_scaled = riccati_maximal(m_scaled, xi / lam).X
+        X = riccati_pair(m, xi)[0].X
+        X_scaled = riccati_pair(m_scaled, xi / lam)[0].X
         assert np.linalg.norm(X_scaled - X / lam, 2) < 1e-8 * (1 + np.linalg.norm(X))
 
     def test_boundary_tilt_rejected_without_direction(self, lozenge_124):
         m = lozenge_124
         # far outside the domain the doubled matrix has axis eigenvalues
         with pytest.raises(RiccatiError):
-            riccati_maximal(m, 50.0 * np.ones(3) * m.theta_inv)
+            riccati_pair(m, 50.0 * np.ones(3) * m.theta_inv)[0]
 
 
 class TestMatrixExponential:
@@ -318,7 +318,7 @@ class TestFrequencyQuadrature:
             xi = random_tilt_in_D0(rng, m)
             if not in_domain(m, xi):
                 continue
-            g = _g_spectral(m, xi)
+            g = TiltState(m, xi).g_spectral
             assert abs(_g_integral(m, xi) - g) < 1e-10 * (1.0 + abs(g))
             checked += 1
         assert checked > 0
