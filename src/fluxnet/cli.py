@@ -131,9 +131,13 @@ def _write(args, text: str) -> None:
 
 def _parse_tilt(text: str, d: int) -> np.ndarray:
     """A comma-separated tilt with ``d`` finite components."""
-    xi = np.array([float(v) for v in text.split(",")])
+    message = f"each tilt needs {d} finite components: {text!r}"
+    try:
+        xi = np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise SpecificationError(message) from exc
     if xi.shape != (d,) or not np.all(np.isfinite(xi)):
-        raise SpecificationError(f"each tilt needs {d} finite components: {text!r}")
+        raise SpecificationError(message)
     return xi
 
 

@@ -1,11 +1,13 @@
 """Rate function and fluctuation-relation diagnostics.
 
 The rate function on the conserved-flux complement is the Legendre
-transform of g restricted to the finite region of the section.  Interior
-flux values are handled by a damped Newton iteration on the strictly
-concave dual problem; flux values outside the gradient image fall back to
-a supremum over the finite-region boundary, where the rate function is a
-ruled surface.
+transform of g restricted to the finite region of the section.  A damped
+Newton iteration ascends the strictly concave dual objective on the open
+domain, and the finite region is tested once, at its stationary point: a
+stationary point inside the region is the maximizer (the interior
+regime).  Otherwise the flux lies outside the gradient image of the
+region, and the value is the supremum over the region's boundary, where
+the rate function is a ruled surface.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ class RateResult:
     ``interior`` records whether the maximizing tilt is a stationary point
     inside the finite region (the proven regime of the local theorem); when
     false, the value is the supremum over the region's boundary and is
-    flagged ``conjectural_global``.  ``anomaly`` is the fluctuation-relation
-    defect ``I(phi) - I(-phi) - <theta^{-1}, phi>`` when requested.
+    flagged ``conjectural_global``.  ``grad_residual`` and ``iterations``
+    describe the ascent on the open domain, also in the boundary regime,
+    where ``xi_star`` is the boundary tilt that attains the value.
+    ``anomaly`` is the fluctuation-relation defect
+    ``I(phi) - I(-phi) - <theta^{-1}, phi>`` when requested.
     """
 
     phi: np.ndarray
@@ -182,11 +187,14 @@ def rate_function(model: LinearModel, geometry: DomainGeometry,
                   gtol: float = 1e-8) -> RateResult:
     """Rate function of the conserved-flux complement at one flux vector.
 
-    Maximizes the concave Legendre objective over the finite region by
-    damped Newton with backtracking, every step checked against domain and
-    finite-region membership.  If the stationary point is not attainable
-    inside, the supremum over the region boundary is returned with
-    ``interior=False``.
+    Ascends the concave Legendre objective by damped Newton with
+    backtracking, every trial checked against membership of the open
+    domain, and tests the finite region once, at the stationary point
+    ``xi*``.  If ``xi*`` lies outside the region, the supremum over the
+    region boundary is returned with ``interior=False``.  The ``-phi``
+    ascent of the anomaly starts at the mirror ``Pi(theta^{-1} - xi*)``,
+    which is its stationary point because ``g(xi) = g(theta^{-1} - xi)``,
+    and at the origin when the mirror is off the domain.
 
     Raises
     ------
@@ -200,28 +208,38 @@ def rate_function(model: LinearModel, geometry: DomainGeometry,
     phi = np.asarray(phi, dtype=float)
     if np.linalg.norm(phi - geometry.project(phi)) > 1e-8 * (1.0 + np.linalg.norm(phi)):
         raise SpecificationError("flux vector must be orthogonal to the lineality space")
-    res = _maximize(model, geometry, phi, gtol)
+    res, end = _maximize(model, geometry, phi, gtol)
     if with_anomaly:
-        res_m = _maximize(model, geometry, -phi, gtol)
+        # g(xi) = g(theta^{-1} - xi): the mirror of the end point is the
+        # stationary point of the -phi objective on the domain
+        mirror = geometry.to_frame(model.theta_inv - end.xi)
+        res_m, _ = _maximize(model, geometry, -phi, gtol, start=mirror)
         res.anomaly = res.I_value - res_m.I_value - float(model.theta_inv @ phi)
     return res
 
 
 def _maximize(model: LinearModel, geometry: DomainGeometry,
-              phi: np.ndarray, gtol: float) -> RateResult:
+              phi: np.ndarray, gtol: float,
+              start: np.ndarray | None = None) -> tuple[RateResult, TiltState]:
+    """Damped Newton ascent of the Legendre objective on the open domain,
+    from ``start`` (frame coordinates; ``c = 0`` when omitted or off the
+    domain), and the regime read off its end point.  Returns the result
+    and the state the ascent ended at."""
     frame = geometry.frame
     phi_c = geometry.to_frame(phi)
-    c = np.zeros(geometry.section_dim)
+    c = np.zeros(geometry.section_dim) if start is None else np.asarray(start, dtype=float)
     # the state of the current iterate; an accepted trial's state, solved
-    # by the feasibility test, supplies the value, gradient and Hessian
+    # by the domain test, supplies the value, gradient and Hessian
     state = TiltState(model, geometry.from_frame(c))
+    if not state.in_D:
+        c = np.zeros(geometry.section_dim)
+        state = TiltState(model, geometry.from_frame(c))
     f_c = float(c @ phi_c) - state.g
     tol = gtol * (1.0 + np.linalg.norm(phi))
     stall_tol = max(100.0 * tol, 1e-7 * (1.0 + np.linalg.norm(phi)))
-    noise = 1e-13 * (1.0 + abs(f_c))
 
     grad = phi_c - frame @ state.grad
-    boundary = False
+    pinned = False
     converged = False
     stalled = 0
     iterations = 0
@@ -238,56 +256,65 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
                 delta = candidate
         except np.linalg.LinAlgError:
             pass
+        # rounding of the objective; a step whose predicted gain is below
+        # it cannot be judged by its value and must reduce the residual
+        noise = 1e-13 * (1.0 + abs(f_c))
         t = 1.0
         gain = None
         for _ in range(40):
             trial = c + t * delta
             trial_state = TiltState(model, geometry.from_frame(trial))
-            if trial_state.in_finite_region(geometry):
-                f_trial = float(trial @ phi_c) - trial_state.g
-                if f_trial >= f_c + ARMIJO * t * float(delta @ grad) - noise:
-                    try:
+            slope = t * float(delta @ grad)
+            try:
+                if trial_state.in_D:
+                    f_trial = float(trial @ phi_c) - trial_state.g
+                    armijo = f_trial >= f_c + ARMIJO * slope - noise
+                    if armijo or slope <= noise:
                         new_grad = phi_c - frame @ trial_state.grad
-                    except NumericalError:
-                        # a numerically singular gap matrix leaves no gradient
-                        # to go on from: shrink as if the trial were outside
-                        t *= SHRINK
-                        continue
-                    gain = f_trial - f_c
-                    c, f_c, state, grad = trial, f_trial, trial_state, new_grad
-                    break
+                        if armijo or np.linalg.norm(new_grad) < np.linalg.norm(grad):
+                            gain = f_trial - f_c
+                            c, f_c, state, grad = trial, f_trial, trial_state, new_grad
+                            break
+            except NumericalError:
+                # a failed solve or a numerically singular gap matrix leaves
+                # no value or gradient to go on from: shrink as if outside
+                pass
             t *= SHRINK
         if gain is None:
             if np.linalg.norm(grad) <= stall_tol:
-                # stationary to floating precision: interior optimum
+                # stationary to floating precision
                 converged = True
             else:
-                # step pinned at the feasibility boundary with ascent left
-                boundary = True
+                # no step gains with ascent left
+                pinned = True
             break
         stalled = stalled + 1 if gain <= noise else 0
         if stalled >= STALL_STEPS and np.linalg.norm(grad) <= stall_tol:
-            # the steps gain nothing above rounding: interior optimum
+            # the steps gain nothing above rounding: stationary
             converged = True
             break
-    if not converged and not boundary:
+    if not converged and not pinned:
         raise ConvergenceError(
             f"rate-function ascent did not converge (best value {f_c:.6e}, "
             f"gradient residual {np.linalg.norm(grad):.2e})")
 
-    if boundary:
-        value, xi_star = _boundary_supremum(model, geometry, phi)
-        if f_c > value:
-            value, xi_star = f_c, state.xi
-        return RateResult(phi=phi, I_value=value, xi_star=xi_star,
-                          interior=False, in_F0=False,
+    # the objective is strictly concave on the section, so an interior
+    # maximizer over the finite region is the stationary point: one test
+    # at the end point decides the regime
+    inside = state.in_finite_region(geometry)
+    if converged and inside:
+        return RateResult(phi=phi, I_value=f_c, xi_star=state.xi, interior=True,
+                          in_F0=state.f0_margin(geometry) > 0.0,
                           grad_residual=float(np.linalg.norm(grad)),
-                          iterations=iterations, conjectural_global=True)
+                          iterations=iterations, conjectural_global=False), state
 
-    return RateResult(phi=phi, I_value=f_c, xi_star=state.xi, interior=True,
-                      in_F0=state.f0_margin(geometry) > 0.0,
+    value, xi_star = _boundary_supremum(model, geometry, phi)
+    if inside and f_c > value:
+        value, xi_star = f_c, state.xi
+    return RateResult(phi=phi, I_value=value, xi_star=xi_star,
+                      interior=False, in_F0=False,
                       grad_residual=float(np.linalg.norm(grad)),
-                      iterations=iterations, conjectural_global=False)
+                      iterations=iterations, conjectural_global=True), state
 
 
 def fr_defect(model: LinearModel, geometry: DomainGeometry,

@@ -368,7 +368,7 @@ def _finite_horizon_values(model: LinearModel, tilts: np.ndarray, n_steps: int,
 
 
 def finite_horizon_cgf(model: LinearModel, tilt: np.ndarray, n_steps: int,
-                       h: float, M: np.ndarray | None = None) -> float:
+                       h: float, M: np.ndarray | None = None) -> float | np.ndarray:
     """Exact ``(1/T) log E exp(tilt . Phi_T)`` of the simulated discrete path.
 
     The path is the one the Monte Carlo engine samples: a stationary start
@@ -386,25 +386,28 @@ def finite_horizon_cgf(model: LinearModel, tilt: np.ndarray, n_steps: int,
     the start.  This is the quantity the bootstrap interval of
     ``empirical_cgf`` covers; it tends to the limit ``g`` at rate ``1/T``.
 
+    ``tilt`` is one tilt, which gives a float, or an ``(n, d)`` stack of
+    tilts, which gives the ``n`` values of one stacked recursion.
+
     Raises
     ------
     NumericalError
         When one of the Gaussian integrals diverges, i.e. the expectation is
-        infinite at this tilt and horizon.
+        infinite at a tilt and this horizon.
     """
     if n_steps < 1:
         raise SpecificationError("need at least one step")
     tilt = np.asarray(tilt, dtype=float)
-    if tilt.shape != (model.d,):
+    if tilt.ndim not in (1, 2) or tilt.shape[-1] != model.d:
         raise SpecificationError(f"tilt needs {model.d} components")
     if M is None:
         M = steady_covariance(model).M
-    value = _finite_horizon_values(model, tilt[None, :], n_steps, h, M)[0]
-    if value == np.inf:
+    values = _finite_horizon_values(model, np.atleast_2d(tilt), n_steps, h, M)
+    if np.isinf(values).any():
         raise NumericalError(
             "tilted expectation diverges: a Gaussian integral of the "
             "recursion has an eigenvalue >= 1")
-    return float(value)
+    return float(values[0]) if tilt.ndim == 1 else values
 
 
 @dataclass(eq=False)

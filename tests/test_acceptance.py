@@ -312,11 +312,12 @@ def test_criterion_12_monte_carlo(lozenge_124, lozenge_124_geometry):
         # each interval covers the exact value of the simulated finite-T
         # path, which tends to the limit g at rate 1/T
         n_steps = int(round(horizon / step))
-        for est in stats.cgf:
+        g_2T_all = finite_horizon_cgf(
+            m, np.array([est.tilt for est in stats.cgf]), 2 * n_steps, step)
+        for est, g_2T in zip(stats.cgf, g_2T_all, strict=True):
             assert est.reliable
             assert est.ci_low <= est.finite_horizon <= est.ci_high
             limit = g_value(m, est.tilt).g
-            g_2T = finite_horizon_cgf(m, est.tilt, 2 * n_steps, step)
             prefactor_T = horizon * (est.finite_horizon - limit)
             prefactor_2T = 2.0 * horizon * (g_2T - limit)
             assert abs(prefactor_T - prefactor_2T) <= 0.05 * abs(prefactor_2T)

@@ -234,6 +234,8 @@ class TestNumericInput:
         (["simulate", "--tilts", "nan,0,0"], "finite components"),
         (["simulate", "--tilts", "0.1,0,0;0,inf,0"], "finite components"),
         (["cgf", "--xi", "nan,0,0"], "finite components"),
+        (["cgf", "--xi", "0.1,x,0"], "finite components"),
+        (["simulate", "--tilts", "0.1,x,0"], "finite components"),
     ])
     def test_non_finite_or_degenerate_exit_2(self, args, message, capsys):
         code, out, err = run_cli(

@@ -16,13 +16,14 @@ from fluxnet import (
     entropy_production,
     fr_defect,
     g_value,
+    hamiltonian,
     lineality_space,
     load_spec,
     parse_spec,
     rate_function,
     steady_covariance,
 )
-from fluxnet import ldp
+from fluxnet import cgf, ldp, solvers
 
 from conftest import dimer_1_64_doc, gap_arc_probe, two_dimers_doc
 
@@ -145,6 +146,19 @@ class TestRateFunction:
         assert abs(res.I_value - (float(res.xi_star @ phi) - g_star)) < 1e-9
         assert np.linalg.norm(TiltState(m, res.xi_star).grad - phi) < 1e-4
 
+    def test_steps_below_rounding_judged_by_residual(self):
+        # the stationary point lies 7e-3 inside the domain edge and outside
+        # the finite region; g is so curved there that the last Newton steps
+        # gain less than the rounding of the objective, and only the
+        # gradient residual shows their progress
+        m, geom = dimer_1_64()
+        mean = entropy_production(m).mean_flux
+        phi = geom.from_frame(geom.to_frame(mean) - 10.0)
+        res, end = ldp._maximize(m, geom, phi, 1e-8)
+        assert not res.interior and res.conjectural_global
+        assert res.grad_residual <= 1e-8 * (1.0 + np.linalg.norm(phi))
+        assert end.in_D and not end.in_finite_region(geom)
+
     def test_singular_gap_trial_shrinks(self, monkeypatch):
         # a trial step whose gap matrix is numerically singular has no
         # gradient: the line search shrinks it as if it were infeasible
@@ -168,6 +182,60 @@ class TestRateFunction:
         # the reported tilt attains the reported value
         attained = float(res.xi_star @ phi) - TiltState(m, res.xi_star).g
         assert abs(res.I_value - attained) <= 1e-9
+
+    def test_interior_maximizer_near_region_edge(self):
+        # two points of the rate --grid 5 frame on the heat pump: the
+        # stationary point lies just inside the finite region, where an
+        # ascent confined to the region used to stop short of it
+        m = assemble_model(load_spec(str(CONFIGS / "heatpump_40_3.6_7_6.8.json")))
+        geom = lineality_space(m)
+        phi = geom.from_frame(
+            np.array([6.801701504742396, -8.063798463228498, 5.13809219175664]))
+        res = rate_function(m, geom, phi)
+        assert res.interior and not res.conjectural_global
+        assert abs(res.I_value - 11.807962973501) <= 1e-9
+        state = TiltState(m, res.xi_star)
+        assert state.in_finite_region(geom)
+        np.testing.assert_allclose(state.grad, phi, atol=1e-6)
+        phi = geom.from_frame(
+            np.array([-12.37734490080906, 11.11524794232296, -9.24619261240695]))
+        assert abs(rate_function(m, geom, phi).anomaly) <= 1e-9
+
+    def test_boundary_regime_decompositions(self, monkeypatch):
+        # beyond the gradient image the ascent converges on the open domain
+        # and tests the finite region once, instead of crawling to its edge
+        m, geom = dimer_1_64()
+        phi = -6.0 * entropy_production(m).mean_flux
+        calls = []
+
+        def counted(model, xi):
+            calls.append(xi)
+            return hamiltonian(model, xi)
+
+        monkeypatch.setattr(cgf, "hamiltonian", counted)
+        monkeypatch.setattr(solvers, "hamiltonian", counted)
+        res = rate_function(m, geom, phi)
+        assert not res.interior and res.conjectural_global
+        assert len(calls) <= 300
+
+    def test_mirror_start_matches_cold_start(self, lozenge_124,
+                                             lozenge_124_geometry):
+        # the mirror of the maximizer for phi is stationary for -phi
+        m, geom = lozenge_124, lozenge_124_geometry
+        phi = 2.0 * entropy_production(m).mean_flux
+        res, end = ldp._maximize(m, geom, phi, 1e-8)
+        assert res.interior
+        cold, _ = ldp._maximize(m, geom, -phi, 1e-8)
+        warm, _ = ldp._maximize(m, geom, -phi, 1e-8,
+                                start=geom.to_frame(m.theta_inv - end.xi))
+        assert warm.interior and cold.interior
+        assert abs(warm.I_value - cold.I_value) <= 1e-12
+        assert warm.iterations < cold.iterations
+        # a start off the domain falls back to the origin
+        far = np.full(2, 100.0)
+        assert not TiltState(m, geom.from_frame(far)).in_D
+        off, _ = ldp._maximize(m, geom, -phi, 1e-8, start=far)
+        assert off.I_value == cold.I_value
 
     def test_interior_with_two_conserved_directions(self):
         # two decoupled dimers: the lineality space has dimension 2, so the

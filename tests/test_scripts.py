@@ -1,0 +1,52 @@
+"""Helper scripts under ``scripts/``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareDataSections:
+    HEAD = "# tool=fluxnet\n# wall_clock_s={}\nphi,I,interior\n"
+
+    @pytest.fixture
+    def compare(self, tmp_path):
+        main = load("compare_data_sections").main
+
+        def run(rows_a, rows_b, *flags, clock="1.0"):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            a.write_text(self.HEAD.format("1.0") + rows_a)
+            b.write_text(self.HEAD.format(clock) + rows_b)
+            return main([str(a), str(b), *flags])
+        return run
+
+    def test_manifest_ignored(self, compare, capsys):
+        assert compare("0.5,2.0,true\n", "0.5,2.0,true\n", clock="9.9") == 0
+        assert "largest difference 0.000e+00" in capsys.readouterr().out
+
+    def test_difference_against_rtol(self, compare, capsys):
+        rows = "0.5,200.0,true\n", "0.5,200.000002,true\n"
+        assert compare(*rows) == 1
+        assert compare(*rows, "--rtol", "1e-8") == 0
+        assert "row 1, I" in capsys.readouterr().out
+        # below magnitude 1 the difference is absolute
+        assert compare("1e-14,1.0,true\n", "-2e-14,1.0,true\n", "--rtol", "1e-13") == 0
+
+    @pytest.mark.parametrize("rows_b", [
+        "0.5,2.0,false\n",           # a boolean column differs
+        "0.5,2.0\n",                 # a field is missing
+        "0.5,2.0,true\n0,0,true\n",  # an extra row
+        "0.5,nan,true\n",            # a number against nan
+    ])
+    def test_structure_must_match(self, compare, rows_b, capsys):
+        assert compare("0.5,2.0,true\n", rows_b, "--rtol", "1") == 1
+        assert "data sections differ" in capsys.readouterr().out

@@ -197,6 +197,17 @@ class TestFiniteHorizonCgf:
         brute = -0.5 * logdet / (n_steps * h)
         assert abs(finite_horizon_cgf(m, tilt, n_steps, h) - brute) < 1e-12
 
+    def test_stack_matches_single_tilts(self, lozenge_124):
+        # a stack of tilts runs one recursion and gives each tilt's value
+        tilts = np.array([[0.3, -0.2, 0.1], [-0.25, 0.2, 0.3], [0.0, 0.0, 0.0]])
+        values = finite_horizon_cgf(lozenge_124, tilts, 200, 0.02)
+        assert values.shape == (3,)
+        for tilt, value in zip(tilts, values):
+            assert value == finite_horizon_cgf(lozenge_124, tilt, 200, 0.02)
+        with pytest.raises(NumericalError, match="diverges"):
+            finite_horizon_cgf(lozenge_124, np.vstack([tilts, [-3.0, 0.0, 0.0]]),
+                               10, 0.02)
+
     def test_zero_tilt_is_exact_zero(self, lozenge_124):
         assert finite_horizon_cgf(lozenge_124, np.zeros(3), 50, 0.02) == 0.0
 
