@@ -2,6 +2,12 @@
 """Compare the data sections of two fluxnet CLI outputs.
 
     python scripts/compare_data_sections.py A.csv B.csv --rtol R
+    python scripts/compare_data_sections.py DIR_A DIR_B --rtol R
+
+Given two directories (say the ``--out-dir`` of
+``scripts/reproduce_figures.py`` at two commits), each pair of same-named
+files is compared and reported on its own line; a file in only one of them
+counts as a difference.
 
 Only the lines that do not start with ``#`` are compared; the manifest
 above them (paths, hashes, wall clock) is ignored.  The two sections must
@@ -13,13 +19,14 @@ reported: relative for magnitudes above 1 and absolute below, so entries
 that vanish in exact arithmetic (the anomaly of an interior point) are not
 divided by their own rounding noise.
 
-Exit status: 0 when the sections match and the largest difference is at
-most R, 1 otherwise, 2 on a usage error.
+Exit status: 0 when every pair of sections matches with its largest
+difference at most R, 1 otherwise, 2 on a usage error.
 """
 
 import argparse
 import math
 import sys
+from pathlib import Path
 
 
 def data_rows(path: str) -> list[list[str]]:
@@ -63,24 +70,43 @@ def compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> tuple[float, st
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("a", help="first CLI output")
-    parser.add_argument("b", help="second CLI output")
+    parser.add_argument("a", help="first CLI output, or a directory of them")
+    parser.add_argument("b", help="second CLI output, or a directory of them")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest numeric difference allowed (default 0)")
     args = parser.parse_args(argv)
     if not args.rtol >= 0.0:
         parser.error("--rtol must be a non-negative number")
-    try:
-        rows_a, rows_b = data_rows(args.a), data_rows(args.b)
-    except OSError as exc:
-        parser.error(str(exc))
-    try:
-        worst, where = compare(rows_a, rows_b)
-    except ValueError as exc:
-        print(f"data sections differ: {exc}")
-        return 1
-    print(f"largest difference {worst:.3e} ({where})")
-    return 0 if worst <= args.rtol else 1
+    a, b = Path(args.a), Path(args.b)
+    if a.is_dir() != b.is_dir():
+        parser.error("give two files or two directories")
+    if a.is_dir():
+        names = {p.name for p in a.iterdir() if p.is_file()}
+        names |= {p.name for p in b.iterdir() if p.is_file()}
+        pairs = [(f"{name}: ", a / name, b / name) for name in sorted(names)]
+    else:
+        pairs = [("", a, b)]
+    status = 0
+    for prefix, path_a, path_b in pairs:
+        missing = [path for path in (path_a, path_b) if not path.exists()]
+        if prefix and missing:
+            print(f"{prefix}missing from {missing[0].parent}")
+            status = 1
+            continue
+        try:
+            rows_a, rows_b = data_rows(path_a), data_rows(path_b)
+        except OSError as exc:
+            parser.error(str(exc))
+        try:
+            worst, where = compare(rows_a, rows_b)
+        except ValueError as exc:
+            print(f"{prefix}data sections differ: {exc}")
+            status = 1
+            continue
+        print(f"{prefix}largest difference {worst:.3e} ({where})")
+        if worst > args.rtol:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

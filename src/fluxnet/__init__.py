@@ -26,7 +26,6 @@ from .network import (
     TiltLift,
     assemble_model,
     canonical_lift,
-    commuting_lift,
     kalman_controllable,
     load_spec,
     parse_spec,
@@ -47,6 +46,7 @@ from .cgf import (
     E_matrix,
     LambdaPair,
     TiltState,
+    commuting_lift,
     g_hessian_quadform,
     g_value,
     in_domain,

@@ -24,10 +24,11 @@ from .errors import (
     SpecificationError,
 )
 from .network import (
+    RANK_RTOL,
     LinearModel,
     TiltLift,
     canonical_lift,
-    commuting_lift,
+    conserved_null_space,
     flux_density_stack,
 )
 from .solvers import (
@@ -46,6 +47,7 @@ __all__ = [
     "LambdaPair",
     "E_matrix",
     "E_matrix_from_lift",
+    "commuting_lift",
     "in_domain",
     "domain_margin",
     "lineality_space",
@@ -54,11 +56,6 @@ __all__ = [
     "section_boundary",
     "section_inf_boundary",
 ]
-
-#: singular values below this fraction of the largest one, or of the largest
-#: temperature if that is larger, count as zero when extracting the
-#: lineality space
-LINEALITY_RTOL = 1e-9
 
 #: three-way agreement tolerance for the cross-validated value of g
 G_AGREE_TOL = 1e-6
@@ -159,7 +156,8 @@ class DomainGeometry:
     """Lineality space and section frame of the domain.
 
     ``L_basis`` rows span the conserved directions (the all-ones vector is
-    always the first row); ``Pi`` projects orthogonally onto their
+    always the first row) and ``L_lifts[i]`` is the commuting lift of
+    ``L_basis[i]``; ``Pi`` projects orthogonally onto their
     complement, where ``frame`` rows form an orthonormal basis whose first
     vector points along the projected inverse temperatures whenever that
     projection is nonzero.  ``center`` is the projected symmetry center of
@@ -170,7 +168,7 @@ class DomainGeometry:
     Pi: np.ndarray
     center: np.ndarray
     frame: np.ndarray
-    L_lifts: tuple[np.ndarray, ...]
+    L_lifts: np.ndarray
 
     @property
     def dim_L(self) -> int:
@@ -191,6 +189,11 @@ class DomainGeometry:
         conserved = self.L_basis @ xi
         tiny = np.linalg.norm(conserved) <= 1e-14 * np.linalg.norm(xi)
         return xi if tiny else xi - conserved @ self.L_basis
+
+    def lift(self, xi: np.ndarray) -> np.ndarray:
+        """Commuting lift ``sum_b (b . xi) S_b`` of the conserved part of a
+        tilt."""
+        return np.einsum("k,kij->ij", self.L_basis @ xi, self.L_lifts)
 
     def require_section(self) -> None:
         """Raise unless some tilt direction is not conserved."""
@@ -226,45 +229,54 @@ def _complete_orthonormal(seeds: list[np.ndarray], target: int,
 
 @lru_cache(maxsize=64)
 def lineality_space(model: LinearModel) -> DomainGeometry:
-    """Conserved tilt directions and the induced section geometry.
+    """Conserved tilt directions, their commuting lifts and the induced
+    section geometry.
 
-    The tilt response is linear in the tilt with entries rational in
-    frequency of bounded degree, so its vanishing for all frequencies is
-    certified by stacking the response maps at ``4n + 2`` sample
-    frequencies and extracting the common null space by singular value
-    threshold.  The threshold is absolute, scaled to the model: with a
-    single reservoir the whole stack is round-off, and a cut relative to its
-    largest singular value would count that round-off as rank.  Models are
-    immutable and hashed by identity, so the geometry is memoized.
+    A tilt is conserved exactly when it has a commuting lift, and
+    :func:`~fluxnet.network.conserved_null_space` finds all of them in one
+    null-space solve.  ``L_basis`` is an orthonormal basis of their tilt
+    parts, all-ones first (energy is always conserved), and ``L_lifts`` the
+    matching combinations of their lifts.  Models are immutable and hashed
+    by identity, so the geometry is memoized.
     """
-    d, s = model.d, model.omega_scale
-    freqs = np.concatenate([[0.0], np.geomspace(0.1 * s, 10.0 * s, 4 * model.n + 1)])
-    # column j holds the responses of the j-th basis tilt; each frequency
-    # contributes a (2 d^2, d) real block
-    E = np.stack([E_matrix(model, e, freqs) for e in np.eye(d)], axis=-1)
-    E = E.reshape(len(freqs), d * d, d)
-    stacked = np.concatenate([E.real, E.imag], axis=1).reshape(-1, d)
-    U, svals, Vt = np.linalg.svd(stacked)
-    cut = LINEALITY_RTOL * max(float(svals[0]), float(model.theta.max()))
-    rank = int(np.sum(svals > cut))
-    null = Vt[rank:]
-
+    d = model.d
+    xis, Ps = conserved_null_space(model)
+    # without controllability some lifts carry no tilt: rank, not count
+    _, svals, Vt = np.linalg.svd(xis, full_matrices=False)
+    span = Vt[svals > RANK_RTOL * svals[0]]
     ones = np.ones(d) / np.sqrt(d)
-    overlap = null.T @ (null @ ones)
-    if np.linalg.norm(overlap - ones) > 1e-7:
+    if np.linalg.norm(span.T @ (span @ ones) - ones) > 1e-7:
         raise NumericalError("all-ones tilt missing from the lineality space")
-    P_null = null.T @ null
-    L_basis = _complete_orthonormal([ones], d - rank, d, P_null)
+    L_basis = _complete_orthonormal([ones], len(span), d, span.T @ span)
     Pi = np.eye(d) - L_basis.T @ L_basis
     center = Pi @ (0.5 * model.theta_inv)
 
     v1 = Pi @ model.theta_inv
     seeds = [v1 / np.linalg.norm(v1)] if np.linalg.norm(v1) > 1e-10 else []
-    frame = _complete_orthonormal(seeds, rank, d, Pi)
+    frame = _complete_orthonormal(seeds, d - len(span), d, Pi)
 
-    lifts = tuple(commuting_lift(model, b) for b in L_basis)
+    coef = np.linalg.lstsq(xis.T, L_basis.T, rcond=None)[0]
+    lifts = [np.kron(np.eye(2), P) for P in np.einsum("kb,kij->bij", coef, Ps)]
     return DomainGeometry(L_basis=L_basis, Pi=Pi, center=center,
-                          frame=frame, L_lifts=lifts)
+                          frame=frame, L_lifts=np.array(lifts))
+
+
+def commuting_lift(model: LinearModel, xi: np.ndarray) -> np.ndarray:
+    """Commuting lift of a conserved tilt: the symmetric ``S`` with
+    ``S Q = Q xi``, ``theta S theta = S`` and ``[Omega, S] = 0``, which
+    moves the maximal Riccati solution, ``X(xi' + xi) = X(xi') + S``.  It
+    is read off :func:`lineality_space`; ``SpecificationError`` if the tilt
+    is not in the lineality space.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (model.d,):
+        raise SpecificationError(f"tilt must have shape ({model.d},)")
+    geometry = lineality_space(model)
+    off = np.linalg.norm(geometry.Pi @ xi)
+    if off > RANK_RTOL * np.linalg.norm(xi):
+        raise SpecificationError(
+            f"tilt is not in the lineality space (section component {off:.2e})")
+    return geometry.lift(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +345,7 @@ class TiltState:
     @cached_property
     def _lift(self) -> np.ndarray:
         """Commuting lift ``S_l`` of the conserved part ``l`` of the tilt."""
-        geometry = lineality_space(self.model)
-        return sum((b @ self.xi) * S for b, S in zip(geometry.L_basis, geometry.L_lifts))
+        return lineality_space(self.model).lift(self.xi)
 
     @cached_property
     def sol(self) -> RiccatiSolution:
@@ -574,7 +585,7 @@ def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
     return _shift_ascent(geometry.L_lifts, [(upper, -1.0), (lower, 1.0)])
 
 
-def _shift_ascent(lifts: tuple[np.ndarray, ...],
+def _shift_ascent(lifts: np.ndarray,
                   terms: list[tuple[np.ndarray, float]]) -> float:
     """Maximize over shifts ``S = sum_j c_j lifts[j]`` the smallest
     eigenvalue of every ``P + s S``, ``(P, s)`` in ``terms``, by

@@ -121,10 +121,17 @@ def _emit(args, manifest: Manifest, columns: list[str], rows: list[list],
     _write(args, text)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SpecificationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -329,8 +336,7 @@ def cmd_simulate(args) -> int:
             f"phi_{name}" for name in model.spec.boundary_ids))
         for j, row in enumerate(stats.flux):
             lines.append(",".join([str(j)] + [repr(float(v)) for v in row]))
-        with open(args.per_traj, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_file(args.per_traj, "\n".join(lines) + "\n")
     return 0
 
 

@@ -18,9 +18,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 
-from .cgf import DomainGeometry, TiltState, section_boundary, section_inf_boundary
+from .cgf import (DomainGeometry, TiltState, commuting_lift, section_boundary,
+                  section_inf_boundary)
 from .errors import ConvergenceError, NumericalError, SpecificationError
-from .network import LinearModel, commuting_lift
+from .network import LinearModel
 from .solvers import steady_covariance
 
 __all__ = [

@@ -30,7 +30,7 @@ __all__ = [
     "canonical_lift",
     "flux_density_stack",
     "flux_density",
-    "commuting_lift",
+    "conserved_null_space",
     "kalman_controllable",
 ]
 
@@ -357,57 +357,33 @@ def flux_density(model: LinearModel, x: np.ndarray) -> np.ndarray:
     return x[..., bp] * (x @ model.Omega[:, bp])
 
 
-def _sym_basis(m: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(m):
-        for j in range(i, m):
-            E = np.zeros((m, m))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
-    return basis
+def conserved_null_space(model: LinearModel) -> tuple[np.ndarray, np.ndarray]:
+    """Conserved tilts and their commuting lifts, as one null space.
 
-
-def commuting_lift(model: LinearModel, xi: np.ndarray,
-                   rtol: float = 1e-8) -> np.ndarray:
-    """Lift of a conserved-direction tilt whose flux density vanishes.
-
-    Solves for the symmetric matrix S with ``S Q = Q xi``, ``theta S theta = S``
-    and ``[Omega, S] = 0``; such a lift exists exactly for tilts in the
-    lineality space and is then unique under controllability.
-
-    Raises
-    ------
-    SpecificationError
-        If no such lift exists (the tilt is not a conserved direction).
+    A commuting lift of ``xi`` (symmetric, ``S Q = Q xi``, ``theta S theta
+    = S``, ``[Omega, S] = 0``) is ``diag(P, P)`` with ``[P, kappa^2] = 0``
+    and ``P e_b = xi_j e_b`` at the site ``b`` of boundary oscillator ``j``
+    (README, "conserved directions").  Returns ``(xis, Ps)``, shapes
+    ``(k, d)`` and ``(k, n, n)``: a basis of the null space of that linear
+    map, whose commutator rows are scaled by ``||kappa^2||`` so that the
+    rank cut does not move with the stiffness scale.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (model.d,):
-        raise SpecificationError(f"tilt must have shape ({model.d},)")
-    m = model.dim
-    basis = _sym_basis(m)
-    cols = []
-    target = np.concatenate([
-        (model.Q * xi[None, :]).ravel(),
-        np.zeros(m * m),
-        np.zeros(m * m),
-    ])
-    s = model.time_reversal
-    for E in basis:
-        cols.append(np.concatenate([
-            (E @ model.Q).ravel(),
-            (model.Omega @ E - E @ model.Omega).ravel(),
-            (s[:, None] * E * s[None, :] - E).ravel(),
-        ]))
-    C = np.array(cols).T
-    coef, *_ = np.linalg.lstsq(C, target, rcond=None)
-    S = np.zeros((m, m))
-    for c, E in zip(coef, basis):
-        S += c * E
-    residual = np.linalg.norm(C @ coef - target)
-    if residual > rtol * (1.0 + np.linalg.norm(target)):
-        raise SpecificationError(
-            f"tilt is not in the lineality space (lift residual {residual:.2e})")
-    return 0.5 * (S + S.T)
+    n, d = model.n, model.d
+    k2, sites = model.spec.kappa_sq, model.boundary_index
+    rows, cols = np.triu_indices(n)
+    E = np.zeros((len(rows), n, n))
+    E[np.arange(len(rows)), rows, cols] = E[np.arange(len(rows)), cols, rows] = 1.0
+    # one column per unknown: the unit symmetric matrices E, then the tilt
+    # components; the rows hold [P, kappa^2] and P e_b - xi_j e_b
+    P_cols = np.concatenate([
+        ((E @ k2 - k2 @ E) / np.linalg.norm(k2, 2)).reshape(len(E), -1),
+        E[:, :, sites].reshape(len(E), -1)], axis=1)
+    xi_cols = np.zeros((d, n * n + n * d))
+    xi_cols[np.arange(d), n * n + sites * d + np.arange(d)] = -1.0
+    C = np.concatenate([P_cols, xi_cols]).T
+    _, svals, Vt = np.linalg.svd(C, full_matrices=False)
+    null = Vt[int(np.sum(svals > RANK_RTOL * svals[0])):]
+    return null[:, len(E):], np.einsum("kp,pij->kij", null[:, :len(E)], E)
 
 
 def kalman_controllable(model: LinearModel,

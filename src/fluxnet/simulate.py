@@ -90,8 +90,10 @@ class SimConfig:
             raise SpecificationError("step must be finite and positive")
         if not (np.isfinite(horizon) and horizon >= 10.0 * step):
             raise SpecificationError("horizon must be finite and at least 10 steps long")
-        if self.n_traj < 1:
-            raise SpecificationError("need at least one trajectory")
+        if self.n_traj < 2:
+            raise SpecificationError("need at least two trajectories for a standard error")
+        if not 0 <= self.seed < 2**128:
+            raise SpecificationError("seed must lie in [0, 2**128), the Philox key range")
         return replace(self, horizon=float(horizon), step=float(step))
 
 

@@ -1,5 +1,6 @@
 """Cumulant generating function, domain geometry and section machinery."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +40,45 @@ from fluxnet.solvers import BOUNDARY_OFFSETS, tilted_blocks
 
 from conftest import (
     dimer_1_64_doc,
+    heatpump_doc,
     mirror_f0_margin,
+    random_network_doc,
     random_tilt_in_D0,
     sampled_domain_margin,
+    single_oscillator_doc,
     two_dimers_doc,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
+NETWORKS = CONFIG_NAMES + ["dimer_1_64", "two_dimers"]
+DOCS = {"dimer_1_64": dimer_1_64_doc, "two_dimers": two_dimers_doc,
+        "single_oscillator": single_oscillator_doc, "heatpump": heatpump_doc}
+
+
+def _network(name, stiffness=1.0):
+    """A bundled config or a test network, its ``kappa_sq`` scaled."""
+    if name in DOCS:
+        doc = DOCS[name]()
+    else:
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["kappa_sq"] = (stiffness * np.array(doc["kappa_sq"])).tolist()
+    return assemble_model(parse_spec(doc))
+
+
+def _sampled_lineality(model):
+    """Reference projector on the conserved directions: the common null
+    space of the tilt response sampled at ``4n + 2`` frequencies, cut at
+    1e-9 of its largest singular value or of the largest temperature (the
+    construction the null-space solve of ``lineality_space`` replaced)."""
+    d, s = model.d, model.omega_scale
+    freqs = np.concatenate([[0.0], np.geomspace(0.1 * s, 10.0 * s, 4 * model.n + 1)])
+    E = np.stack([E_matrix(model, e, freqs) for e in np.eye(d)], axis=-1)
+    E = E.reshape(len(freqs), d * d, d)
+    stacked = np.concatenate([E.real, E.imag], axis=1).reshape(-1, d)
+    _, svals, Vt = np.linalg.svd(stacked)
+    null = Vt[int(np.sum(svals > 1e-9 * max(svals[0], model.theta.max()))):]
+    return null.T @ null
 
 
 class TestResponseMatrix:
@@ -238,12 +270,51 @@ class TestLineality:
         assert np.linalg.norm(Pi @ Pi - Pi, 2) < 1e-12
         assert np.linalg.norm(Pi - Pi.T, 2) < 1e-12
 
-    def test_basis_annihilates_response(self, lozenge_124):
-        geom = lineality_space(lozenge_124)
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_basis_annihilates_response(self, name):
+        m = _network(name)
+        geom = lineality_space(m)
         rng = np.random.default_rng(5)
         for eta in geom.L_basis:
             for w in rng.normal(scale=3.0, size=20):
-                assert np.linalg.norm(E_matrix(lozenge_124, eta, [w])[0], 2) < 1e-9
+                assert np.linalg.norm(E_matrix(m, eta, [w])[0], 2) < 1e-9
+
+    @staticmethod
+    def _check_against_sampled_response(m):
+        # the null-space solve finds the directions of the sampled response,
+        # and each lift satisfies the conditions that define it
+        geom = lineality_space(m)
+        ref = _sampled_lineality(m)
+        assert geom.dim_L == round(float(np.trace(ref)))
+        assert np.abs(geom.L_basis.T @ geom.L_basis - ref).max() <= 1e-12
+        assert geom.L_lifts.shape == (geom.dim_L, m.dim, m.dim)
+        for b, S in zip(geom.L_basis, geom.L_lifts):
+            size = np.linalg.norm(S, 2)
+            assert np.linalg.norm(S - S.T, 2) <= 1e-12 * size
+            assert np.linalg.norm(m.theta_conj(S) - S, 2) <= 1e-12 * size
+            assert (np.linalg.norm(S @ m.Q - m.Q * b, 2)
+                    <= 1e-12 * size * np.linalg.norm(m.Q, 2))
+            assert (np.linalg.norm(m.Omega @ S - S @ m.Omega, 2)
+                    <= 1e-12 * size * np.linalg.norm(m.Omega, 2))
+
+    @pytest.mark.parametrize("name", NETWORKS + ["single_oscillator"])
+    def test_matches_sampled_response(self, name):
+        self._check_against_sampled_response(_network(name))
+
+    @pytest.mark.parametrize("stiffness", [1e-4, 1e4, 1e8])
+    @pytest.mark.parametrize("name", ["heatpump", "two_dimers"])
+    def test_matches_sampled_response_at_stiffness_scale(self, name, stiffness):
+        # the commutator rows are scaled by ||kappa^2||, so the rank cut
+        # does not move with the stiffness scale
+        m = _network(name, stiffness)
+        assert lineality_space(m).dim_L == (2 if name == "two_dimers" else 1)
+        self._check_against_sampled_response(m)
+
+    def test_matches_sampled_response_on_random_networks(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            self._check_against_sampled_response(
+                assemble_model(parse_spec(random_network_doc(rng))))
 
     def test_frame_aligned_with_drive(self, lozenge_124, lozenge_124_geometry):
         geom = lozenge_124_geometry
@@ -560,13 +631,37 @@ class TestFiniteRegion:
             assert margin > 0.1
             assert abs(margin - simplex_margin(xi)) < 1e-8
 
-
-def _network(name):
-    if name == "dimer_1_64":
-        return assemble_model(parse_spec(dimer_1_64_doc()))
-    if name == "two_dimers":
-        return assemble_model(parse_spec(two_dimers_doc()))
-    return assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+    def test_two_conserved_directions_match_identity_reduction(self):
+        # the identity lies in the span of the lifts, and shifting by it
+        # balances the two obstructions, so the largest margin is half of
+        # max_c lambda_min(U - c S_2) + lambda_min(L + c S_2): one concave
+        # scalar search.  Points straddle the edge of the finite region.
+        m = assemble_model(parse_spec(two_dimers_doc()))
+        geom = lineality_space(m)
+        Minv = steady_covariance(m).Minv
+        S2 = geom.L_lifts[1]
+        signs = []
+        for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            u = geom.from_frame(np.array([np.cos(angle), np.sin(angle)]))
+            r = section_inf_boundary(m, geom, u, tol=1e-9)
+            for t in (0.5, 0.95, 0.999, 1.001, 1.05):
+                state = TiltState(m, t * r * u)
+                if not state.in_D:
+                    continue
+                upper, lower = state.dual.X, state.sol.X + Minv
+                scale = max(1.0, max(float(np.abs(np.linalg.eigvalsh(P)).max())
+                                     for P in (upper, lower)))
+                res = scipy.optimize.minimize_scalar(
+                    lambda c: -(np.linalg.eigvalsh(upper - c * S2)[0]
+                                + np.linalg.eigvalsh(lower + c * S2)[0]),
+                    bounds=(-4.0 * scale, 4.0 * scale), method="bounded",
+                    options={"xatol": 1e-12 * scale})
+                reduced = -0.5 * float(res.fun)
+                margin = state.sinf_margin(geom)
+                assert np.sign(margin) == np.sign(reduced), (angle, t)
+                assert abs(margin - reduced) <= 1e-8 * scale, (angle, t)
+                signs.append(margin > 0.0)
+        assert any(signs) and not all(signs)
 
 
 def _finite_region_points(model, geometry, seed):
@@ -581,9 +676,6 @@ def _finite_region_points(model, geometry, seed):
         r = section_inf_boundary(model, geometry, u, tol=1e-3)
         points += [t * r * u for t in (0.3, 0.6, 0.9)]
     return points
-
-
-NETWORKS = CONFIG_NAMES + ["dimer_1_64", "two_dimers"]
 
 
 class TestF0Margin:

@@ -236,6 +236,9 @@ class TestNumericInput:
         (["cgf", "--xi", "nan,0,0"], "finite components"),
         (["cgf", "--xi", "0.1,x,0"], "finite components"),
         (["simulate", "--tilts", "0.1,x,0"], "finite components"),
+        (["simulate", "--seed", "-1"], "seed must lie in [0, 2**128)"),
+        (["simulate", "--seed", str(2**128)], "seed must lie in [0, 2**128)"),
+        (["simulate", "--traj", "1"], "at least two trajectories"),
     ])
     def test_non_finite_or_degenerate_exit_2(self, args, message, capsys):
         code, out, err = run_cli(
@@ -243,6 +246,23 @@ class TestNumericInput:
         assert code == 2
         assert message in err
         assert out == ""
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("args", [
+        ["validate", "--out"],
+        ["cgf", "--xi", "0.1,0.05,-0.02", "--out"],
+        ["simulate", "--traj", "20", "--T", "1", "--h", "0.05",
+         "--tilts", "0.01,0.0,0.0", "--per-traj"],
+    ])
+    def test_exit_2(self, tmp_path, args, capsys):
+        # as for an unreadable input: a message and exit 2, no traceback
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli(
+            [args[0], str(CONFIGS / "lozenge_1_2_4.json"), *args[1:],
+             str(target)], capsys)
+        assert code == 2
+        assert f"cannot write {target}" in err
 
 
 class TestSingleReservoir:

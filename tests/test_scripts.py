@@ -50,3 +50,43 @@ class TestCompareDataSections:
     def test_structure_must_match(self, compare, rows_b, capsys):
         assert compare("0.5,2.0,true\n", rows_b, "--rtol", "1") == 1
         assert "data sections differ" in capsys.readouterr().out
+
+    @pytest.fixture
+    def compare_dirs(self, tmp_path):
+        main = load("compare_data_sections").main
+
+        def run(files_a, files_b, *flags):
+            dirs = tmp_path / "a", tmp_path / "b"
+            for folder, files in zip(dirs, (files_a, files_b)):
+                folder.mkdir()
+                for name, rows in files.items():
+                    (folder / name).write_text(self.HEAD.format("1.0") + rows)
+            return main([str(dirs[0]), str(dirs[1]), *flags])
+        return run
+
+    def test_directories_pair_same_named_files(self, compare_dirs, capsys):
+        a = {"rate_x.csv": "0.5,2.0,true\n", "gap_x.csv": "1.0,3.0,false\n"}
+        b = {"rate_x.csv": "0.5,2.000002,true\n", "gap_x.csv": "1.0,3.0,false\n"}
+        assert compare_dirs(a, b, "--rtol", "1e-5") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "gap_x.csv: largest difference 0.000e+00 (no numeric field differs)"
+        assert out[1].startswith("rate_x.csv: largest difference 1.000e-06")
+
+    def test_directories_fail_on_any_pair(self, compare_dirs, capsys):
+        a = {"rate_x.csv": "0.5,2.0,true\n", "gap_x.csv": "1.0,3.0,false\n"}
+        b = {"rate_x.csv": "0.5,2.000002,true\n", "gap_x.csv": "1.0,3.0,true\n"}
+        assert compare_dirs(a, b, "--rtol", "1e-5") == 1
+        assert "gap_x.csv: data sections differ" in capsys.readouterr().out
+
+    def test_file_in_one_directory_only(self, compare_dirs, capsys):
+        a = {"rate_x.csv": "0.5,2.0,true\n", "cgf_x.csv": "0.5,2.0,true\n"}
+        assert compare_dirs(a, {"rate_x.csv": "0.5,2.0,true\n"}) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("cgf_x.csv: missing from") and out[0].endswith("b")
+
+    def test_file_against_directory_is_usage_error(self, tmp_path):
+        main = load("compare_data_sections").main
+        (tmp_path / "a.csv").write_text(self.HEAD.format("1.0"))
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / "a.csv"), str(tmp_path)])
+        assert exc.value.code == 2
