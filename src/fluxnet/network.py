@@ -371,8 +371,9 @@ def conserved_null_space(model: LinearModel) -> tuple[np.ndarray, np.ndarray]:
     n, d = model.n, model.d
     k2, sites = model.spec.kappa_sq, model.boundary_index
     rows, cols = np.triu_indices(n)
+    unit = np.arange(len(rows))
     E = np.zeros((len(rows), n, n))
-    E[np.arange(len(rows)), rows, cols] = E[np.arange(len(rows)), cols, rows] = 1.0
+    E[unit, rows, cols] = E[unit, cols, rows] = 1.0
     # one column per unknown: the unit symmetric matrices E, then the tilt
     # components; the rows hold [P, kappa^2] and P e_b - xi_j e_b
     P_cols = np.concatenate([
