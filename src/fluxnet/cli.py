@@ -325,7 +325,7 @@ def cmd_simulate(args) -> int:
                      check.ratio, "", "", "", ok])
     _emit(args, manifest, columns, rows,
           footer={"horizon": stats.horizon, "step": stats.step,
-                  "n_traj": stats.n_traj})
+                  "n_traj": stats.n_traj, "workers": stats.workers})
 
     if args.per_traj:
         per_manifest = Manifest("simulate-trajectories", args.spec,

@@ -9,11 +9,15 @@ accumulator of the defining work integral runs alongside on the same Wiener
 increments as an independent cross-check.
 
 Randomness comes from counter-based per-trajectory streams, so results are
-reproducible and independent of chunking or scheduling order.
+reproducible and independent of chunking or scheduling order.  The
+trajectories are propagated in fixed slices of 256, at most two of them at
+once on threads (fewer on a machine with one usable CPU); the output is the
+same whichever number runs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,13 +49,21 @@ STREAM_CONSERVED = 1
 STREAM_BOOTSTRAP = 2
 STREAM_CROSS = 3
 
-#: fixed processing chunk (trajectories per batch); constant so that array
-#: shapes, and therefore floating-point results, never depend on memory
-CHUNK = 512
+#: trajectories per slice; each slice draws, propagates and accumulates its
+#: own rows, and a row's result does not depend on the rows beside it
+SLICE = 256
+
+#: slices in flight at once, at most; with two, the rows held in memory
+#: are one 512-trajectory chunk
+MAX_WORKERS = 2
 
 #: time steps drawn, mapped and accumulated together; bounds the memory of a
-#: chunk independently of the horizon
+#: slice independently of the horizon
 BLOCK = 256
+
+#: bootstrap resamples gathered and reduced together; each resample is
+#: reduced on its own, so the intervals do not depend on this
+BOOT_ROWS = 50
 
 
 def trajectory_rng(seed: int, index: int, stream: int = STREAM_MAIN) -> np.random.Generator:
@@ -247,11 +259,21 @@ def accumulate_tilt_flux(model: LinearModel, xs: np.ndarray, h: float,
     return boundary + h * np.einsum("k,...k->...", weights, dens)
 
 
+def _workers() -> int:
+    """Slices to run at once: ``MAX_WORKERS``, or fewer usable CPUs."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        usable = os.cpu_count() or 1
+    return min(MAX_WORKERS, usable)
+
+
 @dataclass(eq=False)
 class _BatchResult:
     phi: np.ndarray             # boundary-term accumulator at the horizon
     phi_em: np.ndarray | None   # Ito accumulator at the horizon, if asked for
     phi_mid: np.ndarray | None  # boundary-term accumulator at half horizon
+    workers: int                # slices run at once, at most
 
 
 def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
@@ -265,6 +287,13 @@ def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
     split).  Each block is mapped to noise and evaluated for flux densities
     in one product, so memory does not grow with ``n_steps``.  ``ito`` adds
     the left-point Ito accumulator on the shared increments.
+
+    The rows are processed in slices of ``SLICE`` trajectories, each with
+    its own draws, products and sums, writing only its own rows of the
+    result.  Up to ``_workers()`` slices run at once on threads (numpy
+    releases the GIL in the draws and products); a pool is made per call
+    and joined before return.  A row's result depends only on its stream,
+    so the output is the same at any worker count.
     """
     M = steady_covariance(model).M
     root = np.linalg.cholesky(M)
@@ -280,8 +309,8 @@ def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
     phi_em = np.empty((n_traj, d)) if ito else None
     phi_mid = np.empty((n_traj, d)) if record_mid else None
 
-    for start in range(0, n_traj, CHUNK):
-        rows = slice(start, min(start + CHUNK, n_traj))
+    def run_slice(start: int) -> None:
+        rows = slice(start, min(start + SLICE, n_traj))
         rngs = [trajectory_rng(seed, j, stream) for j in range(rows.start, rows.stop)]
         b = len(rngs)
         z = np.empty((b, BLOCK, width))
@@ -300,7 +329,10 @@ def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
             for k in range(n):
                 np.matmul(states[k], Ft, out=states[k + 1])
                 states[k + 1] += noise[k, :, :dim]
-            s = flux_density(model, states[1:].reshape(-1, dim)).reshape(n, b, d)
+            # one small product per step, as the steps are; a single
+            # (n b, dim) product would be threaded by BLAS, and those
+            # threads compete with the slices for the same cores
+            s = flux_density(model, states[1:])
             if k0 < mid <= k0 + n:
                 j = mid - k0
                 phi_mid[rows] = (0.5 * states[j][:, bp] ** 2 - quad0
@@ -315,7 +347,23 @@ def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
         phi[rows] = 0.5 * x[:, bp] ** 2 - quad0 + h * trap
         if ito:
             phi_em[rows] = em
-    return _BatchResult(phi=phi, phi_em=phi_em, phi_mid=phi_mid)
+
+    starts = range(0, n_traj, SLICE)
+    workers = min(_workers(), len(starts))
+    if workers == 1:
+        for start in starts:
+            run_slice(start)
+    else:
+        # imported here so that commands which never simulate do not load
+        # the pool module
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the pool runs ``workers`` slices at a time and joins its threads
+        # on exit; ``list`` re-raises the first error of a slice
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_slice, starts))
+    return _BatchResult(phi=phi, phi_em=phi_em, phi_mid=phi_mid,
+                        workers=workers)
 
 
 def _integrate_step(P: np.ndarray,
@@ -458,6 +506,7 @@ class TrajectoryStats:
     flux: np.ndarray                  # per-trajectory fluxes (n_traj, d)
     cgf: list[CgfEstimate]
     conserved: list[ConservedCheck]
+    workers: int                      # most trajectory slices run at once
 
 
 def empirical_cgf(model: LinearModel, config: SimConfig,
@@ -476,6 +525,10 @@ def empirical_cgf(model: LinearModel, config: SimConfig,
     Each covers the finite-horizon value of the discretised path, which is
     computed exactly alongside (``CgfEstimate.finite_horizon``); it is not
     an interval for the long-time limit ``g``, which differs by ``O(1/T)``.
+
+    The resample indices are drawn once, as one ``(bootstrap, n_traj)``
+    array, and the resamples are gathered and reduced ``BOOT_ROWS`` at a
+    time, so no other array of that size is built.
 
     Estimates whose exponential weights concentrate on a single trajectory
     (max weight above half the total) are flagged unreliable, never
@@ -507,10 +560,12 @@ def empirical_cgf(model: LinearModel, config: SimConfig,
             weights = np.exp(y - top)
             max_weight = float(weights.max() / weights.sum())
             value = (top + np.log(weights.mean())) / horizon
-            resampled = y[idx]
-            tops = resampled.max(axis=1, keepdims=True)
-            boot = (tops[:, 0] + np.log(
-                np.exp(resampled - tops).mean(axis=1))) / horizon
+            boot = np.empty(config.bootstrap)
+            for r in range(0, config.bootstrap, BOOT_ROWS):
+                resampled = y[idx[r:r + BOOT_ROWS]]
+                tops = resampled.max(axis=1, keepdims=True)
+                boot[r:r + BOOT_ROWS] = (tops[:, 0] + np.log(
+                    np.exp(resampled - tops).mean(axis=1))) / horizon
             lo, hi = np.percentile(boot, [tail, 100.0 - tail])
             estimates.append(CgfEstimate(
                 tilt=tilt, value=float(value), ci_low=float(lo),
@@ -518,10 +573,12 @@ def empirical_cgf(model: LinearModel, config: SimConfig,
                 reliable=max_weight <= 0.5, finite_horizon=float(finite)))
 
     conserved: list[ConservedCheck] = []
+    workers = batch.workers
     if L_basis is not None and len(L_basis) > 0:
         double = _run_batch(model, config.seed, STREAM_CONSERVED,
                             config.conserved_traj, 2 * n_steps, h,
                             record_mid=True)
+        workers = max(workers, double.workers)
         for direction in np.atleast_2d(L_basis):
             y_T = double.phi_mid @ direction
             y_2T = double.phi @ direction
@@ -533,7 +590,7 @@ def empirical_cgf(model: LinearModel, config: SimConfig,
     return TrajectoryStats(
         horizon=horizon, step=h, n_traj=config.n_traj,
         mean_flux=mean_flux, mean_flux_se=mean_flux_se, flux=batch.phi,
-        cgf=estimates, conserved=conserved)
+        cgf=estimates, conserved=conserved, workers=workers)
 
 
 def cross_accumulator_ratio(model: LinearModel, seed: int,

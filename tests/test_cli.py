@@ -15,6 +15,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
 import numpy as np
 import pytest
 
+import fluxnet.simulate
 from fluxnet.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -350,6 +351,32 @@ class TestSimulate:
         rows = data_section(per.read_text())
         assert len(rows) == 1 + 50
         assert rows[0].split(",")[0] == "traj_index"
+
+
+    def test_worker_count_leaves_data_unchanged(self, tmp_path, capsys,
+                                                monkeypatch):
+        args = ["simulate", str(CONFIGS / "lozenge_1_2_4.json"),
+                "--seed", "5", "--traj", "600", "--T", "5", "--h", "0.05",
+                "--tilts", "0.02,0.0,-0.02"]
+        outputs = []
+        for n in (1, 2):
+            monkeypatch.setattr(fluxnet.simulate, "_workers", lambda: n)
+            out, per = tmp_path / f"w{n}.csv", tmp_path / f"w{n}.traj.csv"
+            code, _, _ = run_cli(args + ["--out", str(out), "--per-traj",
+                                         str(per)], capsys)
+            assert code == 0
+            text = out.read_text()
+            assert footer(text)["workers"] == str(n)
+            outputs.append((data_section(text), data_section(per.read_text())))
+        assert outputs[0] == outputs[1]
+
+    def test_json_footer_reports_workers(self, capsys, monkeypatch):
+        monkeypatch.setattr(fluxnet.simulate, "_workers", lambda: 2)
+        code, out, _ = run_cli(
+            ["simulate", str(CONFIGS / "lozenge_1_2_4.json"), "--seed", "5",
+             "--traj", "600", "--T", "1", "--h", "0.05", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["footer"]["workers"] == 2
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: exact stepping, flux accumulators, estimators."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from fluxnet import (
     sample_stationary,
     steady_covariance,
 )
+import fluxnet.simulate
 from fluxnet.network import flux_density_stack
-from fluxnet.simulate import BLOCK, _run_batch, trajectory_rng
+from fluxnet.simulate import BLOCK, SLICE, _run_batch, trajectory_rng
 
 
 class TestStationarySampling:
@@ -326,3 +328,70 @@ class TestEmpiricalCgf:
                 tracemalloc.stop()
 
         assert peak(8 * BLOCK) <= 1.5 * peak(2 * BLOCK)
+
+
+def _force_workers(monkeypatch, n):
+    monkeypatch.setattr(fluxnet.simulate, "_workers", lambda: n)
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlices:
+    @pytest.mark.parametrize("ito", [False, True])
+    def test_worker_count_does_not_change_rows(self, lozenge_124, monkeypatch,
+                                               ito):
+        # two full slices and a short one; the half horizon falls in a block
+        n_traj = 2 * SLICE + 37
+        batches = []
+        for n in (1, 2):
+            _force_workers(monkeypatch, n)
+            batches.append(_run_batch(lozenge_124, seed=4, stream=0,
+                                      n_traj=n_traj, n_steps=41, h=0.05,
+                                      record_mid=True, ito=ito))
+        serial, threaded = batches
+        assert (serial.workers, threaded.workers) == (1, 2)
+        np.testing.assert_array_equal(serial.phi, threaded.phi)
+        np.testing.assert_array_equal(serial.phi_mid, threaded.phi_mid)
+        if ito:
+            np.testing.assert_array_equal(serial.phi_em, threaded.phi_em)
+        else:
+            assert serial.phi_em is None and threaded.phi_em is None
+
+    def test_slices_in_flight_hold_one_chunk(self, lozenge_124, monkeypatch):
+        def peak(n_traj):
+            return _peak_bytes(lambda: _run_batch(
+                lozenge_124, seed=3, stream=0, n_traj=n_traj, n_steps=BLOCK,
+                h=0.02))
+
+        # the serial engine these slices replace: one 512-row chunk
+        _force_workers(monkeypatch, 1)
+        monkeypatch.setattr(fluxnet.simulate, "SLICE", 512)
+        chunk = peak(4 * SLICE)
+        monkeypatch.setattr(fluxnet.simulate, "SLICE", SLICE)
+        _force_workers(monkeypatch, 2)
+        threaded = peak(4 * SLICE)
+        assert threaded <= 1.25 * chunk
+        # at most two slices are in flight, however many the batch has
+        assert peak(8 * SLICE) <= 1.25 * threaded
+
+
+class TestBootstrapMemory:
+    def test_resamples_are_reduced_in_blocks(self, lozenge_124):
+        # beyond its one (bootstrap, n_traj) index array the bootstrap
+        # holds a few blocks of resamples, not several full-width copies
+        n_traj, bootstrap = 10_000, 500
+        base = SimConfig(seed=3, n_traj=n_traj, horizon=0.2, step=0.02,
+                         bootstrap=bootstrap)
+        tilted = replace(base, tilts=(np.array([0.02, 0.0, -0.02]),))
+        plain = _peak_bytes(lambda: empirical_cgf(lozenge_124, base))
+        with_tilt = _peak_bytes(lambda: empirical_cgf(lozenge_124, tilted))
+        index_bytes = 8 * bootstrap * n_traj
+        assert with_tilt <= plain + 1.5 * index_bytes
+
