@@ -11,13 +11,14 @@ increments as an independent cross-check.
 Randomness comes from counter-based per-trajectory streams, so results are
 reproducible and independent of chunking or scheduling order.  The
 trajectories are propagated in fixed slices of 256, at most two of them at
-once on threads (fewer on a machine with one usable CPU); the output is the
-same whichever number runs.
+once on threads (one at a time on a machine with one usable CPU); the
+output is the same whichever number runs.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,6 +105,8 @@ class SimConfig:
             raise SpecificationError("horizon must be finite and at least 10 steps long")
         if self.n_traj < 2:
             raise SpecificationError("need at least two trajectories for a standard error")
+        if self.conserved_traj < 2:
+            raise SpecificationError("need at least two trajectories for a conserved-flux variance")
         if not 0 <= self.seed < 2**128:
             raise SpecificationError("seed must lie in [0, 2**128), the Philox key range")
         return replace(self, horizon=float(horizon), step=float(step))
@@ -349,19 +352,11 @@ def _run_batch(model: LinearModel, seed: int, stream: int, n_traj: int,
             phi_em[rows] = em
 
     starts = range(0, n_traj, SLICE)
-    workers = min(_workers(), len(starts))
-    if workers == 1:
-        for start in starts:
-            run_slice(start)
-    else:
-        # imported here so that commands which never simulate do not load
-        # the pool module
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the pool runs ``workers`` slices at a time and joins its threads
-        # on exit; ``list`` re-raises the first error of a slice
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_slice, starts))
+    workers = max(1, min(_workers(), len(starts)))
+    # the pool runs ``workers`` slices at a time and joins its threads on
+    # exit; ``list`` re-raises the first error of a slice
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_slice, starts))
     return _BatchResult(phi=phi, phi_em=phi_em, phi_mid=phi_mid,
                         workers=workers)
 

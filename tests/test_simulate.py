@@ -266,6 +266,8 @@ class TestEmpiricalCgf:
             SimConfig(seed=1, n_traj=0).resolved(lozenge_124)
         with pytest.raises(SpecificationError):
             SimConfig(seed=1, horizon=0.1, step=0.05).resolved(lozenge_124)
+        with pytest.raises(SpecificationError, match="conserved"):
+            SimConfig(seed=1, conserved_traj=1).resolved(lozenge_124)
 
     def test_reproducibility(self, lozenge_124):
         config = SimConfig(seed=99, n_traj=64, horizon=10.0, step=0.05,
@@ -363,6 +365,14 @@ class TestSlices:
             np.testing.assert_array_equal(serial.phi_em, threaded.phi_em)
         else:
             assert serial.phi_em is None and threaded.phi_em is None
+
+    def test_empty_batch_runs_no_slice(self, lozenge_124):
+        batch = _run_batch(lozenge_124, seed=1, stream=0, n_traj=0,
+                           n_steps=20, h=0.05, record_mid=True, ito=True)
+        d = lozenge_124.d
+        assert batch.workers == 1
+        for rows in (batch.phi, batch.phi_mid, batch.phi_em):
+            assert rows.shape == (0, d)
 
     def test_slices_in_flight_hold_one_chunk(self, lozenge_124, monkeypatch):
         def peak(n_traj):
