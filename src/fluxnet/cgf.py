@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     ConvergenceError,
@@ -204,7 +203,10 @@ class DomainGeometry:
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
+    """Orient ``v`` so its last largest-magnitude entry is positive; entries
+    within 1e-9 relative of the maximum tie, so rounding cannot flip it."""
+    mag = np.abs(v)
+    k = int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[-1])
     return -v if v[k] < 0 else v
 
 
@@ -590,6 +592,9 @@ def _shift_ascent(lifts: np.ndarray,
     """Maximize over shifts ``S = sum_j c_j lifts[j]`` the smallest
     eigenvalue of every ``P + s S``, ``(P, s)`` in ``terms``, by
     coordinate-wise bounded scalar ascent (heuristic; dim L > 1 only)."""
+    # imported here: it nearly doubles start-up, and only dim L > 1 needs it
+    import scipy.optimize
+
     def margin(coeffs: np.ndarray) -> float:
         shift = sum(c * lift for c, lift in zip(coeffs, lifts))
         return min(float(np.linalg.eigvalsh(P + sign * shift)[0])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .cgf import (DomainGeometry, TiltState, commuting_lift, section_boundary,
                   section_inf_boundary)
@@ -153,6 +152,9 @@ def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
 
     if k == 1:
         return float(values[best]), table.xi[best]
+
+    # imported here: it nearly doubles start-up, and 1-D sections never need it
+    import scipy.optimize
 
     if k == 2:
         a0 = table.angles[best][0]

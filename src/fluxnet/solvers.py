@@ -12,6 +12,10 @@ adaptive Gauss-Kronrod 21-point panels on the compactified line; each
 refinement sweep evaluates the nodes of every panel it adds in one call,
 so callers stack their small solves over all nodes of a sweep.  It gives
 up with ``QuadratureError`` at ``MAX_PANELS`` panels.
+
+``scipy.linalg`` is imported with the module: every subcommand reads the
+steady covariance through its Lyapunov solver, so deferring the import
+would only move its cost from start-up into the first call.
 """
 
 from __future__ import annotations

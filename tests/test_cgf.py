@@ -322,6 +322,15 @@ class TestLineality:
         v /= np.linalg.norm(v)
         assert np.linalg.norm(geom.frame[0] - v) < 1e-10
 
+    def test_frame_sign_independent_of_rounding(self):
+        # the two-dimer frame has entries of equal magnitude, whose last bit
+        # moves with the stiffness scale; the orientation must not
+        base = lineality_space(_network("two_dimers"))
+        for stiffness in (3.0, 100.0, 1e4):
+            geom = lineality_space(_network("two_dimers", stiffness))
+            assert np.abs(geom.frame - base.frame).max() < 1e-12
+            assert np.abs(geom.L_basis - base.L_basis).max() < 1e-12
+
 
 class TestGValue:
     def test_zeros(self, lozenge_124, triangular_eq):
