@@ -428,11 +428,8 @@ class TiltState:
         """Feasibility margin for membership of the tilt in the finite region.
 
         A section point belongs iff some conserved-direction shift fits
-        strictly between the two Riccati obstructions.  With a
-        one-dimensional lineality space the margin is exactly the spectral
-        gap of the extremal eigenvalue functionals; in higher dimension it
-        is maximized by coordinate-wise bounded scalar ascent over the shift
-        coefficients (heuristic, exact in all shipped examples).
+        strictly between the two Riccati obstructions; the margin is the
+        largest sum of their smallest eigenvalues over those shifts.
         """
         return _shift_margin(geometry, self._pair[1].X,
                              self._pair[0].X + steady_covariance(self.model).Minv)
@@ -577,44 +574,47 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
 
 def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
                   lower: np.ndarray) -> float:
-    """Margin of the best conserved shift ``S`` between two obstructions,
-    ``upper - S`` and ``lower + S`` positive definite: with dim L = 1 the
-    shifts are multiples of the identity and the margin is exactly the sum
-    of the two smallest eigenvalues; otherwise :func:`_shift_ascent`."""
-    if geometry.dim_L == 1:
-        return (float(np.linalg.eigvalsh(upper)[0])
-                + float(np.linalg.eigvalsh(lower)[0]))
-    return _shift_ascent(geometry.L_lifts, [(upper, -1.0), (lower, 1.0)])
+    """Largest ``lambda_min(upper - S) + lambda_min(lower + S)`` over the
+    conserved shifts ``S``.  The identity, ``sqrt(d) L_lifts[0]``, moves the
+    two terms by -+t, so only the coefficients ``c`` of the other lifts are
+    searched (none when dim L = 1).  The sum is concave in ``c``, and so is
+    its maximum over trailing coefficients: nested golden-section search is
+    exact to its bracket.  A unit zero-sum lift holds its tilt on its
+    diagonal, so its spectrum spreads by at least ``2 / sqrt(d)``; by Weyl's
+    inequality the sum is below its value at ``c = 0`` beyond
+    ``|c| = 2 sqrt(d) scale``, ``scale`` (an infinity norm) bounding both
+    spectra."""
+    lifts = geometry.L_lifts[1:]
+
+    def best(coeffs: tuple[float, ...]) -> float:
+        if len(coeffs) == len(lifts):
+            shift = sum(c * lift for c, lift in zip(coeffs, lifts))
+            return (float(np.linalg.eigvalsh(upper - shift)[0])
+                    + float(np.linalg.eigvalsh(lower + shift)[0]))
+        scale = max(1.0, np.linalg.norm(upper, np.inf), np.linalg.norm(lower, np.inf))
+        bound = 2.0 * np.sqrt(geometry.L_basis.shape[1]) * scale
+        return _golden_max(lambda c: best(coeffs + (c,)), -bound, bound,
+                           1e-12 * scale)
+
+    return best(())
 
 
-def _shift_ascent(lifts: np.ndarray,
-                  terms: list[tuple[np.ndarray, float]]) -> float:
-    """Maximize over shifts ``S = sum_j c_j lifts[j]`` the smallest
-    eigenvalue of every ``P + s S``, ``(P, s)`` in ``terms``, by
-    coordinate-wise bounded scalar ascent (heuristic; dim L > 1 only)."""
-    # imported here: it nearly doubles start-up, and only dim L > 1 needs it
-    import scipy.optimize
-
-    def margin(coeffs: np.ndarray) -> float:
-        shift = sum(c * lift for c, lift in zip(coeffs, lifts))
-        return min(float(np.linalg.eigvalsh(P + sign * shift)[0])
-                   for P, sign in terms)
-
-    scale = max(1.0, max(float(np.abs(np.linalg.eigvalsh(P)).max())
-                         for P, _ in terms))
-    coeffs = np.zeros(len(lifts))
-    for _ in range(4):
-        for j in range(len(lifts)):
-            def along(c: float) -> float:
-                trial = coeffs.copy()
-                trial[j] = c
-                return -margin(trial)
-
-            res = scipy.optimize.minimize_scalar(
-                along, bounds=(-4.0 * scale, 4.0 * scale), method="bounded",
-                options={"xatol": 1e-9 * scale})
-            coeffs[j] = float(res.x)
-    return margin(coeffs)
+def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Largest value of a unimodal ``f`` on ``[lo, hi]``: golden-section
+    search down to a bracket of width ``tol``."""
+    r = 0.5 * (np.sqrt(5.0) - 1.0)
+    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > tol:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + r * (hi - lo)
+            fb = f(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - r * (hi - lo)
+            fa = f(a)
+    return max(fa, fb)
 
 
 def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,

@@ -79,6 +79,23 @@ def two_dimers_doc():
     }
 
 
+def three_dimers_doc():
+    """Three uncoupled dimers, each with its own two reservoirs: dim L = 3,
+    and the section has dimension 3."""
+    couplings = (-0.3, -0.2, -0.25)
+    thetas = ((1.0, 2.0), (1.5, 4.0), (1.2, 3.0))
+    k2 = np.eye(6)
+    for j, k in enumerate(couplings):
+        k2[2 * j, 2 * j + 1] = k2[2 * j + 1, 2 * j] = k
+    names = [f"{dimer}{i}" for dimer in "abc" for i in (1, 2)]
+    return {
+        "oscillators": names,
+        "kappa_sq": k2.tolist(),
+        "boundary": [{"id": name, "gamma": 1.0, "theta": theta}
+                     for name, theta in zip(names, np.ravel(thetas).tolist())],
+    }
+
+
 def dimer_1_64_doc():
     """Two coupled oscillators, each at its own reservoir, at 1:64."""
     return {
@@ -225,9 +242,11 @@ def mirror_f0_margin(model, geometry, state):
     """Reference for ``TiltState.f0_margin``: a second Riccati pair solved at
     the mirror ``Pi theta^{-1} - xi``, lifted back by the conserved part of
     ``theta^{-1}``, and the largest shift margin of the four obstructions of
-    the tilt and its mirror (the construction the shift identity replaced)."""
+    the tilt and its mirror (the construction the shift identity replaced).
+    Shifting by the identity balances the smallest eigenvalues, so twice
+    the largest balanced minimum is on the scale of the margin's sum."""
     from fluxnet import commuting_lift, steady_covariance
-    from fluxnet.cgf import TiltState, _shift_ascent
+    from fluxnet.cgf import TiltState
 
     mirror = TiltState(model, geometry.project(model.theta_inv) - state.xi)
     if geometry.dim_L == 1:
@@ -239,6 +258,18 @@ def mirror_f0_margin(model, geometry, state):
     rep = commuting_lift(model, (geometry.L_basis.T @ geometry.L_basis)
                          @ model.theta_inv)
     Minv = steady_covariance(model).Minv
-    return _shift_ascent(geometry.L_lifts, [
-        (state.dual.X, -1.0), (state.sol.X + Minv, 1.0),
-        (mirror.dual.X - rep, 1.0), (mirror.sol.X + Minv + rep, -1.0)])
+    terms = [(state.dual.X, -1.0), (state.sol.X + Minv, 1.0),
+             (mirror.dual.X - rep, 1.0), (mirror.sol.X + Minv + rep, -1.0)]
+
+    def negated(coeffs):
+        shift = np.einsum("k,kij->ij", coeffs, geometry.L_lifts)
+        return -min(np.linalg.eigvalsh(P + sign * shift)[0]
+                    for P, sign in terms)
+
+    k = geometry.dim_L
+    starts = [np.zeros(k), -np.ones(k), 0.5 * (-1.0) ** np.arange(k),
+              *np.eye(k)]
+    return 2.0 * max(-scipy.optimize.minimize(
+        negated, start, method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}).fun
+        for start in starts)

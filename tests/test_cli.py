@@ -18,6 +18,8 @@ import pytest
 import fluxnet.simulate
 from fluxnet.cli import main
 
+from conftest import three_dimers_doc
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "src" / "fluxnet" / "configs"
 
@@ -56,6 +58,14 @@ class TestValidate:
         assert "equilibrium: no" in out
         ep = float(out.split("entropy production rate: ")[1].splitlines()[0])
         assert ep > 0.0
+
+    def test_three_dimers_report_dim_L_3(self, tmp_path, capsys):
+        # each uncoupled dimer conserves its own energy
+        path = tmp_path / "three_dimers.json"
+        path.write_text(json.dumps(three_dimers_doc()))
+        code, out, _ = run_cli(["validate", str(path)], capsys)
+        assert code == 0
+        assert "dim lineality space: 3" in out
 
     def test_json_flag_rejected(self, capsys):
         # the report is plain text; there is no JSON form to mirror it

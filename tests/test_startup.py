@@ -1,11 +1,11 @@
 """Start-up imports: which scipy submodules a fluxnet process loads.
 
 ``scipy.optimize`` costs about as much to import as numpy and
-``scipy.linalg`` together, and only two heuristic routes call it: the
-shift ascent of the finite-region margin when the lineality space has
-dimension above 1, and the boundary refinement of the rate function on 2-D
-and 3-D sections.  These checks run in fresh interpreters, because the test
-process itself has loaded ``scipy.optimize`` already.
+``scipy.linalg`` together, and one route calls it: the boundary refinement
+of the rate function on 2-D and 3-D sections (``ldp``), which criterion 10
+and ``test_ruled_surface_identity`` exercise.  These checks run in fresh
+interpreters, because the test process itself has loaded ``scipy.optimize``
+already.
 """
 
 import json
@@ -14,10 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from conftest import two_dimers_doc
-from fluxnet import TiltState, assemble_model, lineality_space, parse_spec
+from fluxnet import assemble_model, lineality_space, parse_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "src" / "fluxnet" / "configs"
@@ -67,31 +65,26 @@ def test_common_commands_never_load_scipy_optimize():
     assert seen["linalg"]
 
 
-DEFERRED = """
+MARGIN = """
 import json, sys
 import numpy as np
-from fluxnet import TiltState, assemble_model, lineality_space, parse_spec
-model = assemble_model(parse_spec(sys.argv[1]))
+from fluxnet import TiltState, assemble_model, lineality_space, load_spec
+model = assemble_model(load_spec(sys.argv[2]))
 geometry = lineality_space(model)
-xi = np.array(json.loads(sys.argv[2]))
-before = "scipy.optimize" in sys.modules
-margin = TiltState(model, xi).sinf_margin(geometry)
-print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
-                  "margin": margin}))
-"""
+TiltState(model, geometry.from_frame(np.array([0.1, 0.05]))).sinf_margin(geometry)
+""" + GUARD
 
 
-def test_shift_ascent_loads_scipy_optimize_on_first_call():
-    """dim L = 2 sends the margin through the shift ascent, which imports
-    ``scipy.optimize`` when it first runs.  The other deferred import, the
-    boundary refinement on 2-D and 3-D sections, is exercised by criterion
-    10 and ``test_ruled_surface_identity``."""
-    doc = two_dimers_doc()
-    model = assemble_model(parse_spec(doc))
-    geometry = lineality_space(model)
-    assert geometry.dim_L == 2
-    xi = geometry.from_frame(np.array([0.1, 0.05]))
-    expected = TiltState(model, xi).sinf_margin(geometry)
-    seen = run_fresh(DEFERRED, json.dumps(doc), json.dumps(xi.tolist()))
-    assert not seen["before"] and seen["after"]
-    assert seen["margin"] == expected
+def test_two_dimer_margin_never_loads_scipy_optimize(tmp_path):
+    """dim L = 2: the finite-region margin searches a shift coordinate
+    without ``scipy.optimize``, and the section scans on the same network
+    do not load it either."""
+    path = tmp_path / "two_dimers.json"
+    path.write_text(json.dumps(two_dimers_doc()))
+    model = assemble_model(parse_spec(two_dimers_doc()))
+    assert lineality_space(model).dim_L == 2
+    argvs = [["cgf", str(path), "--dirs", "4", "--radii", "3"],
+             ["gap-scan", str(path), "--dirs", "8"]]
+    seen = run_fresh(MARGIN, json.dumps(argvs), str(path))
+    assert seen["codes"] == [0] * len(argvs)
+    assert not seen["optimize"]
