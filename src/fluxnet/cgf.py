@@ -194,6 +194,34 @@ class DomainGeometry:
         tilt."""
         return np.einsum("k,kij->ij", self.L_basis @ xi, self.L_lifts)
 
+    @cached_property
+    def shift_blocks(self) -> list[np.ndarray]:
+        """Orthonormal bases of the joint eigenspaces of the lifts, on each
+        of which every conserved shift is a multiple of the identity.
+
+        Lifts commute and their products are lifts: a lift acts as ``xi_j``
+        on every ``kappa^2``-invariant part of the boundary site of
+        oscillator ``j``, and in a controllable network those parts span
+        the space.  So the lifts span the projectors onto exactly dim L
+        blocks.  Each lift is diagonalized on the blocks of the ones before
+        it.  Its eigenvalues are tilt components, group at ``1e-6``: as
+        ``L_basis`` is orthonormal, two blocks differ by at least
+        ``sqrt(2) / d`` in some lift.
+        """
+        blocks = [np.eye(self.L_lifts.shape[1])]
+        for lift in self.L_lifts[1:]:
+            refined = []
+            for B in blocks:
+                w, V = np.linalg.eigh(B.T @ lift @ B)
+                cuts = np.flatnonzero(np.diff(w) > 1e-6) + 1
+                refined += [B @ V[:, part]
+                            for part in np.split(np.arange(len(w)), cuts)]
+            blocks = refined
+        if len(blocks) != self.dim_L:
+            raise NumericalError(f"{self.dim_L} lifts split the space into "
+                                 f"{len(blocks)} joint eigenspaces")
+        return blocks
+
     def require_section(self) -> None:
         """Raise unless some tilt direction is not conserved."""
         if self.section_dim == 0:
@@ -575,46 +603,16 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
 def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
                   lower: np.ndarray) -> float:
     """Largest ``lambda_min(upper - S) + lambda_min(lower + S)`` over the
-    conserved shifts ``S``.  The identity, ``sqrt(d) L_lifts[0]``, moves the
-    two terms by -+t, so only the coefficients ``c`` of the other lifts are
-    searched (none when dim L = 1).  The sum is concave in ``c``, and so is
-    its maximum over trailing coefficients: nested golden-section search is
-    exact to its bracket.  A unit zero-sum lift holds its tilt on its
-    diagonal, so its spectrum spreads by at least ``2 / sqrt(d)``; by Weyl's
-    inequality the sum is below its value at ``c = 0`` beyond
-    ``|c| = 2 sqrt(d) scale``, ``scale`` (an infinity norm) bounding both
-    spectra."""
-    lifts = geometry.L_lifts[1:]
-
-    def best(coeffs: tuple[float, ...]) -> float:
-        if len(coeffs) == len(lifts):
-            shift = sum(c * lift for c, lift in zip(coeffs, lifts))
-            return (float(np.linalg.eigvalsh(upper - shift)[0])
-                    + float(np.linalg.eigvalsh(lower + shift)[0]))
-        scale = max(1.0, np.linalg.norm(upper, np.inf), np.linalg.norm(lower, np.inf))
-        bound = 2.0 * np.sqrt(geometry.L_basis.shape[1]) * scale
-        return _golden_max(lambda c: best(coeffs + (c,)), -bound, bound,
-                           1e-12 * scale)
-
-    return best(())
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Largest value of a unimodal ``f`` on ``[lo, hi]``: golden-section
-    search down to a bracket of width ``tol``."""
-    r = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
-    fa, fb = f(a), f(b)
-    while hi - lo > tol:
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + r * (hi - lo)
-            fb = f(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - r * (hi - lo)
-            fa = f(a)
-    return max(fa, fb)
+    conserved shifts ``S``.  Both obstructions commute with every lift, so
+    they are block diagonal on :attr:`DomainGeometry.shift_blocks`, on each
+    of which a shift is a scalar ``s_k``.  The sum is then
+    ``min_k (u_k - s_k) + min_k (l_k + s_k)``, ``u_k`` and ``l_k`` the
+    blocks' smallest eigenvalues: at most ``m = min_k (u_k + l_k)``, and
+    equal to it at the shift ``s_k = u_k - m / 2``.  With dim L = 1 the one
+    block is the whole space and the margin is the plain sum."""
+    return min(float(np.linalg.eigvalsh(B.T @ upper @ B)[0])
+               + float(np.linalg.eigvalsh(B.T @ lower @ B)[0])
+               for B in geometry.shift_blocks)
 
 
 def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,

@@ -79,21 +79,26 @@ def two_dimers_doc():
     }
 
 
-def three_dimers_doc():
-    """Three uncoupled dimers, each with its own two reservoirs: dim L = 3,
-    and the section has dimension 3."""
-    couplings = (-0.3, -0.2, -0.25)
-    thetas = ((1.0, 2.0), (1.5, 4.0), (1.2, 3.0))
-    k2 = np.eye(6)
+def uncoupled_dimers_doc(couplings, thetas):
+    """Uncoupled dimers, one per coupling, each with its own two reservoirs
+    (a pair of ``thetas``): each dimer conserves its energy, so dim L is the
+    number of dimers."""
+    k2 = np.eye(2 * len(couplings))
     for j, k in enumerate(couplings):
         k2[2 * j, 2 * j + 1] = k2[2 * j + 1, 2 * j] = k
-    names = [f"{dimer}{i}" for dimer in "abc" for i in (1, 2)]
+    names = [f"{chr(ord('a') + j)}{i}" for j in range(len(couplings)) for i in (1, 2)]
     return {
         "oscillators": names,
         "kappa_sq": k2.tolist(),
         "boundary": [{"id": name, "gamma": 1.0, "theta": theta}
                      for name, theta in zip(names, np.ravel(thetas).tolist())],
     }
+
+
+def three_dimers_doc():
+    """Three uncoupled dimers: dim L = 3, and the section has dimension 3."""
+    return uncoupled_dimers_doc((-0.3, -0.2, -0.25),
+                                ((1.0, 2.0), (1.5, 4.0), (1.2, 3.0)))
 
 
 def dimer_1_64_doc():

@@ -48,6 +48,7 @@ from conftest import (
     single_oscillator_doc,
     three_dimers_doc,
     two_dimers_doc,
+    uncoupled_dimers_doc,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
@@ -678,11 +679,11 @@ class TestFiniteRegion:
         assert any(signs) and not all(signs)
 
     def test_margin_with_three_conserved_directions(self):
-        # dim L = 3: after the identity, two shift coordinates are searched.
-        # A dense grid over the certified box never beats the margin, and
-        # its best point is within the grid's resolution of it.  Uncoupled
-        # dimers put the best shifts on plateaus; at some of these seeded
-        # points the plateau lies away from c = 0.
+        # dim L = 3: after the identity, two shift coordinates remain.  A
+        # dense grid over them never beats the margin, and its best point is
+        # within the grid's resolution of it.  Uncoupled dimers put the best
+        # shifts on plateaus; at some of these seeded points the plateau
+        # lies away from c = 0.
         m = assemble_model(parse_spec(three_dimers_doc()))
         geom = lineality_space(m)
         assert (geom.dim_L, geom.section_dim) == (3, 3)
@@ -711,6 +712,75 @@ class TestFiniteRegion:
             resolution = (axis[1] - axis[0]) * sum(np.linalg.norm(L, 2) for L in S)
             margin = state.sinf_margin(geom)
             assert grid - 1e-12 * scale <= margin <= grid + resolution, (t, margin, grid)
+
+    @pytest.mark.parametrize("doc", [two_dimers_doc, three_dimers_doc])
+    def test_margin_attained_at_block_shift(self, doc):
+        # the obstructions are block diagonal on the joint eigenspaces of
+        # the lifts, every lift is a scalar on each, and the shift built from
+        # the blocks' smallest eigenvalues is a combination of the lifts at
+        # which the full-matrix sum equals the margin; no sampled shift beats
+        # it.  At some points that shift is far from zero.
+        m = assemble_model(parse_spec(doc()))
+        geom = lineality_space(m)
+        blocks = geom.shift_blocks
+        assert len(blocks) == geom.dim_L
+        basis = np.hstack(blocks)
+        assert np.abs(basis.T @ basis - np.eye(2 * m.n)).max() < 1e-12
+        for lift in geom.L_lifts:
+            for B in blocks:
+                on_block = B.T @ lift @ B
+                assert np.abs(on_block - on_block[0, 0] * np.eye(len(on_block))).max() < 1e-12
+        Minv = steady_covariance(m).Minv
+        rng = np.random.default_rng(25)
+        gains = []
+        for _ in range(4):
+            u = geom.from_frame(rng.normal(size=geom.section_dim))
+            u /= np.linalg.norm(u)
+            t = rng.uniform(0.3, 0.99)
+            state = TiltState(m, geom.center + t * section_boundary(m, geom, u) * u)
+            upper, lower = state.dual.X, state.sol.X + Minv
+            scale = max(1.0, max(float(np.abs(np.linalg.eigvalsh(P)).max())
+                                 for P in (upper, lower)))
+            for P in (upper, lower):
+                for i, Bi in enumerate(blocks):
+                    for Bj in blocks[i + 1:]:
+                        assert np.abs(Bi.T @ P @ Bj).max() <= 1e-12 * scale
+
+            def full_sum(shift):
+                return (np.linalg.eigvalsh(upper - shift)[0]
+                        + np.linalg.eigvalsh(lower + shift)[0])
+
+            u_k = np.array([np.linalg.eigvalsh(B.T @ upper @ B)[0] for B in blocks])
+            l_k = np.array([np.linalg.eigvalsh(B.T @ lower @ B)[0] for B in blocks])
+            best = float(np.min(u_k + l_k))
+            target = sum((s * B) @ B.T for s, B in zip(u_k - best / 2.0, blocks))
+            coeffs = np.linalg.lstsq(geom.L_lifts.reshape(geom.dim_L, -1).T,
+                                     target.ravel(), rcond=None)[0]
+            shift = np.einsum("k,kij->ij", coeffs, geom.L_lifts)
+            assert np.abs(shift - target).max() <= 1e-12 * scale
+            margin = state.sinf_margin(geom)
+            assert abs(full_sum(shift) - margin) <= 1e-12 * scale, (t, margin)
+            for c in rng.normal(scale=scale, size=(50, geom.dim_L)):
+                assert full_sum(np.einsum("k,kij->ij", c, geom.L_lifts)) <= margin + 1e-12 * scale
+            gains.append(margin - full_sum(np.zeros_like(upper)))
+        assert max(gains) > 1e-2
+
+    def test_margin_cost_linear_in_dim_L(self, monkeypatch):
+        # one pair of small eigenvalue solves per joint eigenspace: four
+        # uncoupled dimers (dim L = 4) cost 8 solves a margin
+        m = assemble_model(parse_spec(uncoupled_dimers_doc(
+            (-0.3, -0.2, -0.25, -0.35),
+            ((1.0, 2.0), (1.5, 4.0), (1.2, 3.0), (2.0, 2.5)))))
+        geom = lineality_space(m)
+        assert geom.dim_L == 4 and len(geom.shift_blocks) == 4
+        state = TiltState(m, geom.center)
+        state._pair
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+        assert state.sinf_margin(geom) > 0.0
+        assert calls == [(4, 4)] * 8
 
     def test_margin_midpoint_concave(self):
         # the maximal solution is matrix-concave in the tilt, so the margin
