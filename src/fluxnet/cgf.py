@@ -33,10 +33,10 @@ from .network import (
 from .solvers import (
     HamiltonianData,
     RiccatiSolution,
+    boundary_pair,
     hamiltonian,
     integrate_frequency,
     invariant_pair,
-    riccati_extrapolated,
     steady_covariance,
 )
 
@@ -59,7 +59,7 @@ __all__ = [
 #: three-way agreement tolerance for the cross-validated value of g
 G_AGREE_TOL = 1e-6
 
-#: level steps of the domain-margin iteration; it converges quadratically
+#: level steps of the level-set iteration; it converges quadratically
 #: and needs fewer than ten on the bundled configs
 MAX_LEVELS = 50
 
@@ -93,47 +93,60 @@ def E_matrix_from_lift(model: LinearModel, lift: TiltLift, omega: float) -> np.n
     return model.Q.T @ np.linalg.solve(model.A.T - 1j * omega * eye, inner)
 
 
+def _level_set(model: LinearModel, u: np.ndarray,
+               base: np.ndarray | None = None) -> float:
+    """Supremum ``gamma`` over frequency of the largest eigenvalue of
+    ``E(u)`` whitened by ``I - E(base)`` (base 0 if omitted), so that
+    ``1 / gamma`` is the exit radius of the domain along ``u`` from the
+    base: ``I - E(base + t u) = (I - E(base)) - t E(u)``.  The level-set
+    iteration for the H-infinity norm (Boyd-Balakrishnan; Bruinsma-
+    Steinbuch, 1990): by the determinant identity of :func:`in_domain`, the
+    doubled matrix at ``base + u / gamma`` has eigenvalues ``i omega`` where
+    the whitened ``E(u)`` crosses ``gamma``, and the level rises to the
+    peak between crossings until none is left.
+    """
+    def top(omegas: np.ndarray) -> float:
+        E = E_matrix(model, u, omegas)
+        if base is not None:
+            L = np.linalg.cholesky(np.eye(model.d) - E_matrix(model, base, omegas))
+            E = np.linalg.solve(L, np.conjugate(np.swapaxes(np.linalg.solve(L, E), 1, 2)))
+        return float(np.linalg.eigvalsh(E)[:, -1].max())
+
+    # start at zero frequency and at the drift resonances, where the
+    # response peaks for weak damping
+    gamma = top(np.concatenate([[0.0], np.abs(model.spectrum.imag)]))
+    if gamma <= 0.0:
+        raise NumericalError("no positive start level for the level-set iteration")
+    for _ in range(MAX_LEVELS):
+        # just above the level, so that a tangent crossing at the supremum
+        # leaves the imaginary axis
+        step = u / (gamma * (1.0 + 1e-13))
+        ham = hamiltonian(model, step if base is None else base + step)
+        crossings = np.unique(np.abs(ham.eigenvalues[ham.on_axis].imag))
+        if len(crossings) < 2:
+            return gamma
+        peak = top(0.5 * (crossings[1:] + crossings[:-1]))
+        if peak <= gamma:
+            return gamma
+        gamma = peak
+    raise ConvergenceError(
+        f"level-set iteration still rising after {MAX_LEVELS} steps")
+
+
 def domain_margin(model: LinearModel, xi: np.ndarray) -> float:
     """Infimum over frequency of the smallest eigenvalue of ``I - E``.
 
     Positive margin means the tilt lies in the open essential domain; this
     is a diagnostic, membership itself is decided by :func:`in_domain`.
-    ``E`` is linear in the tilt and vanishes on the lineality space, so the
-    margin is ``1 - gamma``, ``gamma`` the supremum of the largest eigenvalue
-    of ``E`` at the section component.  The level-set iteration for the
-    H-infinity norm (Boyd-Balakrishnan; Bruinsma-Steinbuch, 1990) finds it:
-    by the determinant identity of :func:`in_domain`, the doubled matrix of
-    the component scaled by ``1 / gamma`` has eigenvalues ``i omega`` at
-    the frequencies where an eigenvalue of ``E`` crosses ``gamma``, and the
-    level rises to the peak of ``E`` between crossings until none is left.
+    ``E`` vanishes on the lineality space, so the margin is ``1 - gamma``,
+    ``gamma`` the :func:`_level_set` supremum of the section component.
     """
     xi = np.asarray(xi, dtype=float)
     section = lineality_space(model).project(xi)
     # a section component at the round-off level of the projection is zero
     if np.linalg.norm(section) <= 1e-12 * np.linalg.norm(xi):
         return 1.0
-
-    def top(omegas: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(E_matrix(model, section, omegas))[:, -1].max())
-
-    # start at zero frequency and at the drift resonances, where the
-    # response peaks for weak damping
-    gamma = top(np.concatenate([[0.0], np.abs(model.spectrum.imag)]))
-    if gamma <= 0.0:
-        raise NumericalError("no positive start level for the domain margin")
-    for _ in range(MAX_LEVELS):
-        # just above the level, so that a tangent crossing at the supremum
-        # leaves the imaginary axis
-        ham = hamiltonian(model, section / (gamma * (1.0 + 1e-13)))
-        crossings = np.unique(np.abs(ham.eigenvalues[ham.on_axis].imag))
-        if len(crossings) < 2:
-            return 1.0 - gamma
-        peak = top(0.5 * (crossings[1:] + crossings[:-1]))
-        if peak <= gamma:
-            return 1.0 - gamma
-        gamma = peak
-    raise ConvergenceError(
-        f"domain margin level still rising after {MAX_LEVELS} steps")
+    return 1.0 - _level_set(model, section)
 
 
 def in_domain(model: LinearModel, xi: np.ndarray) -> bool:
@@ -314,13 +327,12 @@ def commuting_lift(model: LinearModel, xi: np.ndarray) -> np.ndarray:
 
 
 def _g_integral(model: LinearModel, xi: np.ndarray) -> float:
-    eye = np.eye(model.d)
-
     def integrand(omegas: np.ndarray) -> np.ndarray:
-        lam = np.linalg.eigvalsh(eye - E_matrix(model, xi, omegas))
-        if (lam[:, 0] <= 0.0).any():
+        # log1p keeps the small eigenvalues of E that 1 - mu would round away
+        mu = np.linalg.eigvalsh(E_matrix(model, xi, omegas))
+        if (mu[:, -1] >= 1.0).any():
             raise DomainError("tilt outside the open domain; integral route invalid")
-        return -np.log(lam).sum(axis=1)
+        return -np.log1p(-mu).sum(axis=1)
 
     value, _ = integrate_frequency(integrand, model.omega_scale)
     return value / (4.0 * np.pi)
@@ -345,21 +357,17 @@ class TiltState:
     and the margins do not change along conserved directions, which only
     grow ``K``).  Its eigenvalues give ``in_D`` and ``g_spectral``, the pair
     of :func:`invariant_pair` g, its gradient and Hessian and the
-    finite-region and F0 margins; on the domain boundary the pair is
-    extrapolated along the section component of ``inward`` (default: toward
-    the symmetry center ``theta^{-1} / 2``).  ``sol`` and ``dual``, which
-    Lambda+- read, are the pair moved to the tilt and its mirror by
-    ``+-S_l``, the commuting lift of the conserved part ``l``.
+    finite-region and F0 margins; on the domain boundary, where
+    :func:`invariant_pair` raises, the same decomposition gives the pair of
+    :func:`boundary_pair`.  ``sol`` and ``dual``, which Lambda+- read, are
+    the pair moved to the tilt and its mirror by ``+-S_l``, the commuting
+    lift of the conserved part ``l``.
     """
 
-    def __init__(self, model: LinearModel, xi: np.ndarray,
-                 inward: np.ndarray | None = None):
-        geometry = lineality_space(model)
+    def __init__(self, model: LinearModel, xi: np.ndarray):
         self.model = model
         self.xi = np.asarray(xi, dtype=float)
-        self.section = geometry.project(self.xi)
-        self.inward = (geometry.center - self.section if inward is None
-                       else geometry.project(np.asarray(inward, dtype=float)))
+        self.section = lineality_space(model).project(self.xi)
 
     @cached_property
     def _ham(self) -> HamiltonianData:
@@ -370,12 +378,13 @@ class TiltState:
         try:
             return invariant_pair(self.model, self._ham)
         except RiccatiError:
-            return riccati_extrapolated(self.model, self.section, self.inward)
+            return boundary_pair(self.model, self._ham)
 
     @cached_property
-    def _lift(self) -> np.ndarray:
-        """Commuting lift ``S_l`` of the conserved part ``l`` of the tilt."""
-        return lineality_space(self.model).lift(self.xi)
+    def _lift(self) -> np.ndarray | float:
+        """Commuting lift ``S_l`` of the conserved part ``l`` of the tilt
+        (zero where the projection passed the tilt as given)."""
+        return 0.0 if self.section is self.xi else lineality_space(self.model).lift(self.xi)
 
     @cached_property
     def sol(self) -> RiccatiSolution:
@@ -584,20 +593,16 @@ def _ray_exit(member, lo: float, hi: float, tol: float,
 
 
 def section_boundary(model: LinearModel, geometry: DomainGeometry,
-                     u: np.ndarray, tol: float = 1e-6) -> float:
-    """Radius of the domain section from its center along a unit direction.
-
-    Bisection on the exact domain test :func:`in_domain` with geometric
-    bracket growth, down to a bracket of width ``tol``; convexity of the
-    domain guarantees a single crossing, so the returned midpoint lies
-    within ``tol / 2`` of it.
-    """
+                     u: np.ndarray) -> float:
+    """Radius of the domain section from its center along a unit
+    direction: the exact :func:`_level_set` radius, to the rounding of the
+    level."""
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise SpecificationError("direction must be a unit vector")
     if np.linalg.norm(geometry.L_basis @ u) > 1e-8:
         raise SpecificationError("direction must be orthogonal to the lineality space")
-    return _ray_exit(lambda t: in_domain(model, geometry.center + t * u), 0.0, 1.0, tol)
+    return 1.0 / _level_set(model, u, geometry.center)
 
 
 def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
@@ -624,17 +629,21 @@ def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,
     the ray gives a single sign change, located by bisection on
     :meth:`TiltState.in_finite_region`.  A bracket hint (for example the
     radius found along a nearby ray) shortcuts the bracket-growth phase.
+    A bisection that ends beyond the open domain returns the exact domain
+    radius ``1 / (1 - domain_margin(u))`` instead.
     """
     u = np.asarray(u, dtype=float)
 
     def member(t: float) -> bool:
-        return TiltState(model, t * u, inward=-u).in_finite_region(geometry)
+        return TiltState(model, t * u).in_finite_region(geometry)
 
-    if bracket_hint is None or bracket_hint <= 0.0:
-        return _ray_exit(member, 0.0, 0.5, tol)
-    below, above = 0.95 * bracket_hint, 1.05 * bracket_hint
-    if not member(below):
-        return _ray_exit(member, 0.0, below, tol, grow=False)
-    if not member(above):
-        return _ray_exit(member, below, above, tol, grow=False)
-    return _ray_exit(member, above, 2.0 * above, tol)
+    below, above = 0.95 * (bracket_hint or 0.0), 1.05 * (bracket_hint or 0.0)
+    if below <= 0.0:
+        r = _ray_exit(member, 0.0, 0.5, tol)
+    elif not member(below):
+        r = _ray_exit(member, 0.0, below, tol, grow=False)
+    elif not member(above):
+        r = _ray_exit(member, below, above, tol, grow=False)
+    else:
+        r = _ray_exit(member, above, 2.0 * above, tol)
+    return r if in_domain(model, r * u) else 1.0 / _level_set(model, u)

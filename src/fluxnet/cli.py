@@ -2,7 +2,7 @@
 
 Subcommands: ``validate``, ``gap-scan``, ``rate``, ``cgf``, ``simulate``.
 Every output starts with ``#``-prefixed manifest lines (command, input
-hash, version, seed, tolerances, wall clock); the data section below them
+hash, version, seed, flags, wall clock); the data section below them
 is a plain CSV table and is byte-reproducible for identical inputs, flags
 and seed.  ``--json`` mirrors the same content as a JSON document; the
 ``validate`` report is plain text and has no JSON form.
@@ -179,9 +179,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gap_scan(args) -> int:
-    manifest = Manifest("gap-scan", args.spec, dirs=args.dirs, tol=args.tol)
+    manifest = Manifest("gap-scan", args.spec, dirs=args.dirs)
     model, geometry = _load(args)
-    scan = condition_R_scan(model, geometry, args.dirs, tol=args.tol)
+    scan = condition_R_scan(model, geometry, args.dirs)
     if geometry.section_dim == 3:
         polar_cols = ["azimuth", "polar", "disk_x", "disk_y"]
     else:
@@ -236,7 +236,7 @@ def cmd_rate(args) -> int:
 
 def cmd_cgf(args) -> int:
     manifest = Manifest("cgf", args.spec, xi=args.xi or "", dirs=args.dirs,
-                        radii=args.radii, tol=args.tol)
+                        radii=args.radii)
     model, geometry = _load(args)
     columns = (["dir_index", "radius_frac"]
                + [f"xi_{name}" for name in model.spec.boundary_ids]
@@ -268,7 +268,7 @@ def cmd_cgf(args) -> int:
         dirs, _ = _scan_directions(geometry.section_dim, args.dirs)
         for idx, dc in enumerate(dirs):
             u = geometry.from_frame(dc)
-            r = section_boundary(model, geometry, u, args.tol)
+            r = section_boundary(model, geometry, u)
             for frac in fracs:
                 rows.append(row_for(geometry.center + frac * r * u, idx, frac))
     _emit(args, manifest, columns, rows)
@@ -354,20 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true",
                            help="emit JSON instead of CSV")
 
-    def section_tol(p):
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="width to which the bisection of each section "
-                            "radius is carried; the reported radius lies "
-                            "within tol/2 of the domain boundary "
-                            "(default 1e-6)")
-
     p = sub.add_parser("validate", help="check a network description")
     common(p, table=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gap-scan", help="spectral gap on the section boundary")
     common(p)
-    section_tol(p)
     p.add_argument("--dirs", type=int, default=64, help="scan directions")
     p.set_defaults(func=cmd_gap_scan)
 
@@ -380,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cgf", help="cumulant generating function scan")
     common(p)
-    section_tol(p)
     p.add_argument("--xi", help="single tilt, comma separated components")
     p.add_argument("--dirs", type=int, default=16,
                    help="section directions (the same directions as gap-scan)")

@@ -113,7 +113,7 @@ def _boundary_point(model: LinearModel, geometry: DomainGeometry,
     u = geometry.from_frame(direction)
     r = section_inf_boundary(model, geometry, u, tol=tol, bracket_hint=hint)
     xi = r * u
-    return xi, r, TiltState(model, xi, inward=-u).g
+    return xi, r, TiltState(model, xi).g
 
 
 @lru_cache(maxsize=64)
@@ -364,14 +364,13 @@ def _scan_directions(k: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def condition_R_scan(model: LinearModel, geometry: DomainGeometry,
-                     n_dirs: int = 64, tol: float = 1e-6) -> GapScan:
+                     n_dirs: int = 64) -> GapScan:
     """Sample the section boundary and evaluate the spectral gap there.
 
     The sufficient condition for the global LDP holds iff the minimal gap
-    over the boundary is positive.  Boundary tilts are reached by
-    ray-shooting from the projected symmetry center; the Riccati solutions
-    there are obtained by inward extrapolation.  ``tol`` is the bisection
-    tolerance of each section radius (see ``section_boundary``).
+    over the boundary is positive.  Boundary tilts lie at the exact
+    :func:`section_boundary` radii from the projected symmetry center, and
+    their Riccati pairs are those of :func:`~fluxnet.solvers.boundary_pair`.
     """
     geometry.require_section()
     if n_dirs < 8:
@@ -384,9 +383,9 @@ def condition_R_scan(model: LinearModel, geometry: DomainGeometry,
     lam_p = np.empty(len(dirs))
     for idx, dc in enumerate(dirs):
         u = geometry.from_frame(dc)
-        r = section_boundary(model, geometry, u, tol)
+        r = section_boundary(model, geometry, u)
         xi = geometry.center + r * u
-        lam = TiltState(model, xi, inward=-u).lambdas
+        lam = TiltState(model, xi).lambdas
         xi_b[idx] = xi
         radii[idx] = r
         lam_m[idx] = lam.minus

@@ -3,9 +3,10 @@
 Lyapunov solves for the stationary covariance, the doubled-dimension
 Hamiltonian matrix attached to a tilt with its eigendecomposition, the
 maximal Riccati solutions at a tilt and at its mirror read off the
-invariant subspaces of that one decomposition, matrix exponentials and
-adaptive quadrature over the frequency axis.  Everything here is pure and
-reentrant; matrices stay at desk scale (at most 24 x 24).
+invariant subspaces of that one decomposition (completed by null vectors
+on the domain boundary), matrix exponentials and adaptive quadrature over
+the frequency axis.  Everything here is pure and reentrant; matrices stay
+at desk scale (at most 24 x 24).
 
 The frequency quadrature takes a vectorized integrand and runs globally
 adaptive Gauss-Kronrod 21-point panels on the compactified line; each
@@ -38,7 +39,7 @@ __all__ = [
     "hamiltonian",
     "invariant_pair",
     "riccati_pair",
-    "riccati_extrapolated",
+    "boundary_pair",
     "matrix_exponential",
     "integrate_frequency",
 ]
@@ -183,6 +184,26 @@ class RiccatiSolution:
         return sla.solve_continuous_lyapunov(self.D.T, -(XA + XA.T + C_dot))
 
 
+def _graph_pair(model: LinearModel, xi: np.ndarray, V_max: np.ndarray,
+                V_min: np.ndarray) -> tuple[RiccatiSolution, RiccatiSolution]:
+    """Maximal solutions at a tilt and at its mirror from bases ``[V1; V2]``
+    of the graphs of the maximal and minimal solutions, ``X = Re(V2
+    V1^{-1})``; ``-theta X_min theta`` is maximal at the mirror."""
+    m, graphs = model.dim, []
+    for V in (V_max, V_min):
+        if V.shape[1] != m:
+            raise RiccatiError(
+                f"invariant subspace has dimension {V.shape[1]}, expected {m}")
+        svals = np.linalg.svd(V[:m], compute_uv=False)
+        if svals[-1] < 1e-12 * svals[0]:
+            raise RiccatiError(
+                f"graph condition failed (smallest singular value {svals[-1]:.2e})")
+        graphs.append(_sym(np.linalg.solve(V[:m].T, V[m:].T).T.real))
+    return (RiccatiSolution(model=model, xi=xi, X=graphs[0]),
+            RiccatiSolution(model=model, xi=model.theta_inv - xi,
+                            X=-model.theta_conj(graphs[1])))
+
+
 def invariant_pair(model: LinearModel,
                    ham: HamiltonianData) -> tuple[RiccatiSolution, RiccatiSolution]:
     """Maximal Riccati solutions at a tilt and at its mirror
@@ -200,26 +221,14 @@ def invariant_pair(model: LinearModel,
         outside the domain boundary), the antistable subspace has
         the wrong dimension, or a graph condition fails.
     """
-    m, eigs = model.dim, ham.eigenvalues
     if ham.on_axis.any():
         raise RiccatiError(
             "doubled matrix has imaginary-axis eigenvalues "
-            f"(|Re| = {np.abs(eigs.real).min():.2e}); "
+            f"(|Re| = {np.abs(ham.eigenvalues.real).min():.2e}); "
             "tilt is on or outside the domain boundary")
-    anti = eigs.real > 0.0
-    if anti.sum() != m:
-        raise RiccatiError(
-            f"antistable subspace has dimension {anti.sum()}, expected {m}")
-    graphs = []
-    for V in (ham.eigenvectors[:, anti], ham.eigenvectors[:, ~anti]):
-        svals = np.linalg.svd(V[:m], compute_uv=False)
-        if svals[-1] < 1e-12 * svals[0]:
-            raise RiccatiError(
-                f"graph condition failed (smallest singular value {svals[-1]:.2e})")
-        graphs.append(_sym(np.linalg.solve(V[:m].T, V[m:].T).T.real))
-    return (RiccatiSolution(model=model, xi=ham.xi, X=graphs[0]),
-            RiccatiSolution(model=model, xi=model.theta_inv - ham.xi,
-                            X=-model.theta_conj(graphs[1])))
+    anti = ham.eigenvalues.real > 0.0
+    return _graph_pair(model, ham.xi, ham.eigenvectors[:, anti],
+                       ham.eigenvectors[:, ~anti])
 
 
 def riccati_pair(model: LinearModel,
@@ -228,46 +237,36 @@ def riccati_pair(model: LinearModel,
     return invariant_pair(model, hamiltonian(model, xi))
 
 
-#: inward offsets used when extrapolating Riccati solutions to the boundary;
-#: the ladder reaches up far enough that a starting point slightly outside
-#: the domain still leaves enough interior samples for the fit
-BOUNDARY_OFFSETS = tuple(1e-2 * 0.5 ** k for k in range(14))
-
-
-def riccati_extrapolated(model: LinearModel, xi: np.ndarray,
-                         inward: np.ndarray) -> tuple[RiccatiSolution, RiccatiSolution]:
-    """Riccati pair at a boundary tilt by inward extrapolation.
-
-    Solves the pair at ``xi + s * inward`` for the ladder of
-    ``BOUNDARY_OFFSETS`` and extrapolates both solutions entrywise with a
-    model ``X(s) = X0 + a sqrt(s) + b s + c s^{3/2}``; the square-root term
-    captures the generic behavior of the closing eigenvalue pair near the
-    boundary, where the invariant subspaces are ill conditioned.
+def boundary_pair(model: LinearModel,
+                  ham: HamiltonianData) -> tuple[RiccatiSolution, RiccatiSolution]:
+    """:func:`invariant_pair` on the domain boundary, where ``K`` has
+    eigenvalues ``+-i omega*``, each a colliding pair (a 2 x 2 Jordan
+    block).  One null vector of ``K - i omega*`` per colliding eigenvalue
+    completes the antistable subspace to the graph of the maximal solution
+    and the stable one to that of the minimal solution.  ``omega*`` is the
+    mean of a pair of axis eigenvalues; a pair split by more than
+    ``sqrt(AXIS_RTOL) ||K||_2`` (a tilt about ``AXIS_RTOL`` beyond the
+    boundary) raises ``RiccatiError``, as do null vectors that complete no
+    ``m``-column graph.  The subspaces come from ordered real Schur forms,
+    which stay accurate where antistable eigenvalues nearly coincide.
     """
-    xi = np.asarray(xi, dtype=float)
-    inward = np.asarray(inward, dtype=float)
-    norm = np.linalg.norm(inward)
-    if norm <= 0.0:
-        raise RiccatiError("boundary extrapolation needs an inward direction")
-    inward = inward / norm
-    samples, good = [], []
-    for s in BOUNDARY_OFFSETS:
+    K, near = ham.K, np.sort(ham.eigenvalues[ham.on_axis].imag)
+    norm = np.linalg.norm(K, 2)
+    clusters = np.split(near, np.flatnonzero(np.diff(near) > np.sqrt(AXIS_RTOL) * norm) + 1)
+    if any(len(c) != 2 for c in clusters):
+        raise RiccatiError("imaginary-axis eigenvalues do not form colliding pairs "
+                           f"(frequencies {near}); tilt is not on the domain boundary")
+    nulls = [np.linalg.svd(K - 1j * c.mean() * np.eye(len(K)))[2][-1].conj()
+             for c in clusters]
+    bases = []
+    for side in (1.0, -1.0):
         try:
-            sol, dual = riccati_pair(model, xi + s * inward)
-        except RiccatiError:
-            continue
-        samples.append(np.concatenate([sol.X.ravel(), dual.X.ravel()]))
-        good.append(s)
-    if len(good) < 5:
-        raise RiccatiError(
-            f"only {len(good)} interior ladder points available for extrapolation")
-    s = np.array(good)
-    design = np.column_stack([np.ones_like(s), np.sqrt(s), s, s ** 1.5])
-    coef, *_ = np.linalg.lstsq(design, np.array(samples), rcond=None)
-    X, X_dual = (_sym(block.reshape(model.dim, model.dim))
-                 for block in np.split(coef[0], 2))
-    return (RiccatiSolution(model=model, xi=xi, X=X),
-            RiccatiSolution(model=model, xi=model.theta_inv - xi, X=X_dual))
+            # hamiltonian's axis cut, so that no axis eigenvalue is sorted in
+            _, Z, count = sla.schur(K, sort=lambda re, im: side * re > AXIS_RTOL * norm)
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiError(f"ordered Schur form failed: {exc}") from exc
+        bases.append(np.column_stack([Z[:, :count], *nulls]))
+    return _graph_pair(model, ham.xi, *bases)
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:

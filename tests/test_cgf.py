@@ -36,7 +36,8 @@ from fluxnet.cgf import (
     TiltState,
     domain_margin,
 )
-from fluxnet.solvers import BOUNDARY_OFFSETS, tilted_blocks
+from fluxnet.ldp import _scan_directions
+from fluxnet.solvers import boundary_pair, tilted_blocks
 
 from conftest import (
     dimer_1_64_doc,
@@ -158,7 +159,7 @@ class TestDomain:
             dc = rng.normal(size=geom.section_dim)
             u = geom.from_frame(dc / np.linalg.norm(dc))
             offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, -0.5)
-            r = section_boundary(model, geom, u, tol=1e-9) * (1.0 + offset)
+            r = section_boundary(model, geom, u) * (1.0 + offset)
             xi = geom.center + r * u + rng.normal(size=geom.dim_L) @ geom.L_basis
             margin = sampled_domain_margin(model, xi)
             if abs(margin) < 1e-6:
@@ -215,7 +216,7 @@ class TestDomain:
                 dc = rng.normal(size=geom.section_dim)
                 u = geom.from_frame(dc / np.linalg.norm(dc))
                 offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, -0.5)
-                r = section_boundary(model, geom, u, tol=1e-9) * (1.0 + offset)
+                r = section_boundary(model, geom, u) * (1.0 + offset)
                 xi = geom.center + r * u + rng.normal(size=geom.dim_L) @ geom.L_basis
                 verdicts.append(TiltState(model, xi).in_D)
                 assert verdicts[-1] == in_domain(model, xi), xi
@@ -419,6 +420,20 @@ class TestGValue:
         with pytest.raises(DomainError, match="outside essential domain closure"):
             g_value(lozenge_124, geom.center + 3.0 * r * u)
 
+    @pytest.mark.parametrize("seed, draws, xi", [
+        (1, 10, [0.03293097942445356, 0.27207147265919407,
+                 -0.24301371067297722, -0.06198874141067043]),
+        (2, 1, [-0.4214042005953059, 0.04514980066964078, 0.376254399925665])])
+    def test_integral_keeps_small_response(self, seed, draws, xi):
+        # scan tilts of two random networks (7 and 11 oscillators) where the
+        # integrand -log(1 - mu) lost small mu to rounding and the
+        # quadrature gave up
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            doc = random_network_doc(rng, n_max=12)
+        state = g_value(assemble_model(parse_spec(doc)), np.array(xi))
+        assert abs(state.g_integral - state.g_spectral) <= 1e-12 * (1.0 + abs(state.g_spectral))
+
 
 class TestDerivatives:
     def test_gradient_orthogonal_to_lineality(self, lozenge_124):
@@ -512,32 +527,38 @@ class TestDerivatives:
         np.testing.assert_allclose(tilts[0], geom.project(xi), atol=1e-15)
         assert state.margin > 0.0
 
-    def test_one_ladder_per_extrapolated_state(self, lozenge_124,
-                                               lozenge_124_geometry,
-                                               monkeypatch):
-        # at a boundary tilt of the gap scan the tilt and its mirror are
-        # extrapolated along one ladder
+    def test_boundary_state_makes_one_decomposition(self, lozenge_124,
+                                                    lozenge_124_geometry,
+                                                    monkeypatch):
+        # at a boundary tilt of the gap scan the pair comes from the one
+        # decomposition of the state, completed by null vectors
         m, geom = lozenge_124, lozenge_124_geometry
         scan = condition_R_scan(m, geom, n_dirs=8)
-        calls = []
+        tilts = []
 
         def counted(model, xi):
-            calls.append(np.array(xi))
-            return riccati_pair(model, xi)
+            tilts.append(np.array(xi))
+            return hamiltonian(model, xi)
 
-        monkeypatch.setattr(solvers, "riccati_pair", counted)
-        extrapolated = 0
-        for dc, xi, minus, plus in zip(scan.directions, scan.xi_boundary,
-                                       scan.Lambda_minus, scan.Lambda_plus):
-            state = TiltState(m, xi, inward=-geom.from_frame(dc))
-            calls.clear()
-            if state.in_D:
-                continue
+        monkeypatch.setattr(cgf, "hamiltonian", counted)
+        monkeypatch.setattr(solvers, "hamiltonian", counted)
+        for xi, minus, plus in zip(scan.xi_boundary, scan.Lambda_minus,
+                                   scan.Lambda_plus):
+            tilts.clear()
+            state = TiltState(m, xi)
             lam = state.lambdas
-            assert len(calls) == len(BOUNDARY_OFFSETS)
+            assert not state.in_D
+            assert len(tilts) == 1
             assert lam.minus == minus and lam.plus == plus
-            extrapolated += 1
-        assert extrapolated > 0
+
+    def test_no_lift_at_section_points(self, heatpump, heatpump_geometry):
+        # the heat-pump scan tilts carry a conserved part of about 2^-53,
+        # which the projection passes as given: no lift is added to the pair
+        for xi in condition_R_scan(heatpump, heatpump_geometry, n_dirs=8).xi_boundary:
+            state = TiltState(heatpump, xi)
+            assert state.section is state.xi
+            assert np.array_equal(state.sol.X, state._pair[0].X)
+            assert np.array_equal(state.dual.X, state._pair[1].X)
 
     @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_pair_matches_stabilizing_are(self, name):
@@ -554,6 +575,111 @@ class TestDerivatives:
                     A_xi, m.Q, C_xi, np.eye(m.d))
                 assert (np.linalg.norm(sol.X - ref)
                         <= 1e-12 * np.linalg.norm(ref)), (xi, tilt)
+
+
+def _scan_rays(geometry, count):
+    """Unit directions of the gap scan, as tilts."""
+    return [geometry.from_frame(dc)
+            for dc in _scan_directions(geometry.section_dim, count)[0]]
+
+
+class TestBoundaryPair:
+    @pytest.mark.parametrize("name, on_axis", [
+        ("dimer_1_64", 4), ("lozenge_1_2_4", 4), ("heatpump_40_3.6_7_6.8", 4),
+        ("triangular_1_2_64", 8)])
+    def test_residual_at_rounding_level(self, name, on_axis):
+        # the exact section radius tests off the open domain, and the pair
+        # from the null vectors solves both Riccati equations to rounding;
+        # triangular 1:2:64 collides at two frequencies at once
+        m = _network(name)
+        geom = lineality_space(m)
+        for u in _scan_rays(geom, 8):
+            state = TiltState(m, geom.center + section_boundary(m, geom, u) * u)
+            assert not state.in_D and state._ham.on_axis.sum() == on_axis
+            for sol in (state.sol, state.dual):
+                A_xi, C_xi = tilted_blocks(m, sol.xi)
+                x = np.linalg.norm(sol.X, 2)
+                scale = (np.linalg.norm(C_xi, 2) + 2.0 * np.linalg.norm(A_xi, 2) * x
+                         + np.linalg.norm(m.B, 2) * x * x)
+                assert sol.residual <= 1e-13 * scale, (u, sol.residual, scale)
+
+    @pytest.mark.parametrize("name", [
+        "dimer_1_64", "lozenge_1_2_4", "triangular_1_2_64"])
+    def test_direct_solves_approach_as_sqrt(self, name):
+        # inside the domain at (1 - delta) t*, the maximal solution is
+        # sqrt(delta) away from the boundary pair: a factor 10 per factor
+        # 100.  The residual cannot see an error of the pair along the null
+        # space of the closed loop's Lyapunov operator; the Richardson limit
+        # of the direct solves can, to the O(delta) of its terms.
+        m = _network(name)
+        geom = lineality_space(m)
+        for u in _scan_rays(geom, 8):
+            r = section_boundary(m, geom, u)
+            X = TiltState(m, geom.center + r * u).sol.X
+            near = [TiltState(m, geom.center + (1.0 - delta) * r * u).sol.X
+                    for delta in (1e-6, 1e-8, 1e-10)]
+            dist = [np.linalg.norm(Y - X, 2) for Y in near]
+            assert all(9.9 < a / b < 10.1 for a, b in zip(dist, dist[1:])), dist
+            limit = (10.0 * near[2] - near[1]) / 9.0
+            assert np.linalg.norm(limit - X, 2) <= 2e-8 * (1.0 + np.linalg.norm(X, 2))
+
+    @pytest.mark.parametrize("name", [
+        "dimer_1_64", "lozenge_1_2_4", "triangular_1_2_64"])
+    def test_beyond_boundary_raises(self, name):
+        m = _network(name)
+        geom = lineality_space(m)
+        for u in _scan_rays(geom, 8):
+            xi = geom.center + 1.5 * section_boundary(m, geom, u) * u
+            with pytest.raises(RiccatiError, match="colliding pairs"):
+                boundary_pair(m, hamiltonian(m, xi))
+            with pytest.raises(RiccatiError):
+                TiltState(m, xi).g
+
+    @pytest.mark.parametrize("name", ["lozenge_1_2_4", "triangular_1_2_64"])
+    def test_scan_reproduces_under_last_bit_change(self, name):
+        m = _network(name)
+        geom = lineality_space(m)
+        for u in _scan_rays(geom, 16):
+            nudged = u.copy()
+            k = int(np.argmax(np.abs(u)))
+            nudged[k] = np.nextafter(u[k], np.inf)
+            radii, lams = [], []
+            for v in (u, nudged):
+                radii.append(section_boundary(m, geom, v))
+                lams.append(TiltState(m, geom.center + radii[-1] * v).lambdas)
+            assert abs(radii[1] - radii[0]) <= 1e-12 * radii[0]
+            for a, b in ((lams[0].minus, lams[1].minus), (lams[0].plus, lams[1].plus)):
+                assert abs(a - b) <= 5e-12 * (1.0 + abs(a)), (u, a, b)
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_radius_matches_domain_bisection(self, name):
+        m = _network(name)
+        geom = lineality_space(m)
+        rng = np.random.default_rng(25)
+        for _ in range(4):
+            u = geom.from_frame(rng.normal(size=geom.section_dim))
+            u /= np.linalg.norm(u)
+            r = section_boundary(m, geom, u)
+            lo, hi = 0.0, 2.0 * r
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if in_domain(m, geom.center + mid * u) else (lo, mid)
+            assert abs(r - 0.5 * (lo + hi)) <= 1e-10 * r, (u, r, lo, hi)
+            assert in_domain(m, geom.center + (1.0 - 1e-9) * r * u)
+            assert not in_domain(m, geom.center + (1.0 + 1e-7) * r * u)
+
+    def test_finite_region_exit_on_domain_boundary(self):
+        # on the dimer's +1 ray the finite region reaches the domain
+        # boundary, where the bisection ends beyond the open domain; the
+        # exit radius is then the exact domain radius from the origin
+        m = _network("dimer_1_64")
+        geom = lineality_space(m)
+        u = geom.from_frame(np.array([1.0]))
+        r = section_inf_boundary(m, geom, u, tol=1e-7)
+        assert abs(r * (1.0 - domain_margin(m, u)) - 1.0) <= 1e-15
+        assert in_domain(m, (1.0 - 1e-9) * r * u)
+        assert not in_domain(m, (1.0 + 1e-7) * r * u)
+        assert TiltState(m, r * u).sol.residual <= 1e-13
 
 
 class TestFiniteRegion:
@@ -874,8 +1000,6 @@ class TestSectionGeometry:
         # skips it
         m, geom = lozenge_124, lozenge_124_geometry
         u = geom.frame[0]
-        with pytest.raises(SpecificationError, match="bisection tolerance"):
-            section_boundary(m, geom, u, tol=tol)
         for hint in (None, 0.3):
             with pytest.raises(SpecificationError, match="bisection tolerance"):
                 section_inf_boundary(m, geom, u, tol=tol, bracket_hint=hint)

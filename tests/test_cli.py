@@ -18,7 +18,7 @@ import pytest
 import fluxnet.simulate
 from fluxnet.cli import main
 
-from conftest import three_dimers_doc
+from conftest import random_network_doc, three_dimers_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "src" / "fluxnet" / "configs"
@@ -154,6 +154,26 @@ class TestCgf:
             capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("seed, draws", [(1, 10), (2, 1)])
+    def test_frequency_integral_on_random_network(self, seed, draws, tmp_path,
+                                                  capsys):
+        # 7 and 11 oscillators: the integrand -log(1 - mu) lost the small mu
+        # of these scans to rounding, and the quadrature gave up
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            doc = random_network_doc(rng, n_max=12)
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["cgf", str(path), "--dirs", "4", "--radii", "2"], capsys)
+        assert code == 0, err
+        header, *rows = data_section(out)
+        cols = header.split(",")
+        for row in rows:
+            values = dict(zip(cols, row.split(",")))
+            gi, gs = float(values["g_integral"]), float(values["g_spectral"])
+            assert abs(gi - gs) <= 1e-9 * (1.0 + abs(gs))
+
     def test_radial_scan(self, capsys):
         code, out, _ = run_cli(
             ["cgf", str(CONFIGS / "lozenge_1_2_4.json"),
@@ -189,48 +209,15 @@ class TestCgf:
         assert len(data_section(out)) == 1 + 1
 
 
-def _tilt_columns(text):
-    rows = data_section(text)
-    header = rows[0].split(",")
-    cols = [j for j, name in enumerate(header) if name.startswith("xi_")]
-    return np.array([[float(r.split(",")[j]) for j in cols] for r in rows[1:]])
-
-
 class TestTolerance:
     @pytest.mark.parametrize("command", [
-        ["gap-scan", "--dirs", "8"], ["cgf", "--dirs", "4", "--radii", "1"]])
-    def test_coarse_tol_moves_radius_within_tol(self, command, capsys):
-        spec = str(CONFIGS / "lozenge_1_2_4.json")
-        code, fine, _ = run_cli([command[0], spec, *command[1:]], capsys)
-        assert code == 0
-        code, coarse, _ = run_cli(
-            [command[0], spec, *command[1:], "--tol", "1e-3"], capsys)
-        assert code == 0
-        # the rows are center + (fraction of the radius) * unit direction
-        shift = np.linalg.norm(_tilt_columns(coarse) - _tilt_columns(fine),
-                               axis=1)
-        assert 0.0 < shift.max() <= 1e-3
-
-    @pytest.mark.parametrize("command", ["validate", "rate", "simulate"])
-    def test_tol_only_on_section_scans(self, command, capsys):
-        # the other subcommands have no section radius for it to set
+        "validate", "gap-scan", "rate", "cgf", "simulate"])
+    def test_tol_rejected_by_every_subcommand(self, command, capsys):
+        # no subcommand bisects a section radius, so none takes a width
         with pytest.raises(SystemExit) as exc:
             main([command, str(CONFIGS / "lozenge_1_2_4.json"), "--tol", "1e-3"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    @pytest.mark.parametrize("command", [
-        ["gap-scan", "--dirs", "8"], ["cgf", "--dirs", "2", "--radii", "1"]])
-    def test_tol_not_finite_positive_exit_2(self, command, tol, capsys):
-        # a zero or negative width never ends the bisection, and nan skips it
-        code, out, err = run_cli(
-            [command[0], str(CONFIGS / "lozenge_1_2_4.json"), *command[1:],
-             "--tol", tol], capsys)
-        assert code == 2
-        assert "bisection tolerance must be finite and positive" in err
-        assert out == ""
 
 
 class TestNumericInput:
