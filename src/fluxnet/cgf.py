@@ -417,7 +417,10 @@ class TiltState:
         """g from the spectrum of the doubled matrix."""
         Q = self.model.Q
         base = 0.25 * float(np.trace((Q * self.model.theta_inv[None, :]) @ Q.T))
-        return base - 0.25 * float(np.abs(self._ham.eigenvalues.real).sum())
+        # on the domain boundary rounding gives the colliding axis pairs real
+        # parts of about sqrt(eps) ||K||, which are not part of g
+        off_axis = self._ham.eigenvalues.real[~self._ham.on_axis]
+        return base - 0.25 * float(np.abs(off_axis).sum())
 
     @cached_property
     def g_integral(self) -> float | None:
@@ -464,56 +467,87 @@ class TiltState:
     def sinf_margin(self, geometry: DomainGeometry) -> float:
         """Feasibility margin for membership of the tilt in the finite region.
 
-        A section point belongs iff some conserved-direction shift fits
-        strictly between the two Riccati obstructions; the margin is the
-        largest sum of their smallest eigenvalues over those shifts.
-        """
+        A section point belongs iff some conserved shift fits strictly
+        between the obstructions ``U = X(theta^{-1} - xi)`` and ``L = X(xi)
+        + M^{-1}``; the margin, the smallest :meth:`block_margins`, is the
+        largest sum of their smallest eigenvalues over those shifts."""
         return _shift_margin(geometry, self._pair[1].X,
                              self._pair[0].X + steady_covariance(self.model).Minv)
+
+    def block_margins(self, geometry: DomainGeometry
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The concave margins ``m_k = lambda_min(U_k) + lambda_min(L_k)``
+        on the :attr:`DomainGeometry.shift_blocks` (the region is every
+        ``m_k > 0``), their gradients and Hessians in frame coordinates.
+        For ``v`` the eigenvector of ``lambda``, ``d lambda = v* P'_a v`` and
+        ``d^2 lambda = v* P''_ab v + 2 sum_j (v_j* P'_a v)(v_j* P'_b v) /
+        (lambda - lambda_j)``.  The second derivative of the Riccati
+        equation, ``D* X'' + X'' D = X'_a B X'_b - X'_a A'_b - A'_b* X'_a +
+        (a <-> b) + 2 Q u_a u_b Q*``, gives ``v* X'' v`` by one adjoint
+        solve."""
+        frame, Q = geometry.frame, self.model.Q
+        A_u, dX, dX_dual = self._sensitivities(frame)
+        sides = ((self._pair[1], 0.0, dX_dual, -A_u),
+                 (self._pair[0], steady_covariance(self.model).Minv, dX, A_u))
+        count, k = len(geometry.shift_blocks), geometry.section_dim
+        m, grads, curvs = np.zeros(count), np.zeros((count, k)), np.zeros((count, k, k))
+        for j, block in enumerate(geometry.shift_blocks):
+            for sol, shift, dP, dA in sides:
+                w, V = np.linalg.eigh(block.T @ (sol.X + shift) @ block)
+                v = block @ V[:, 0]
+                moved = dP @ v                          # (k, m): P'_a v
+                coupling = moved @ (block @ V[:, 1:])   # (k, b - 1)
+                Z = sol.adjoint(np.outer(v, v))
+                cross = np.einsum("aij,bji->ab", dP @ self.model.B - 2.0 * dA, dP @ Z)
+                m[j] += w[0]
+                grads[j] += moved @ v
+                curvs[j] += (2.0 * cross + 2.0 * np.einsum(
+                    "ai,bi,i->ab", frame, frame, np.diag(Q.T @ Z @ Q))
+                    + 2.0 * (coupling / np.minimum(w[0] - w[1:], -1e-300)) @ coupling.T)
+        return m, grads, 0.5 * (curvs + curvs.transpose(0, 2, 1))
 
     def in_finite_region(self, geometry: DomainGeometry) -> bool:
         """Whether the tilt lies in the finite region: inside the open
         domain with a positive :meth:`sinf_margin`.  A tilt at which a solve
         raises ``RiccatiError`` or ``NumericalError`` counts as outside."""
-        try:
-            return self.in_D and self.sinf_margin(geometry) > 0.0
-        except (RiccatiError, NumericalError):
-            return False
+        return self.in_D and (_margin(self, geometry) or 0.0) > 0.0
 
     def f0_margin(self, geometry: DomainGeometry) -> float:
         """Margin for the symmetric sub-family where the local fluctuation
         relation is proven: one conserved shift places both the tilt and its
         mirror ``Pi theta^{-1} - xi`` inside the finite region.
 
-        The mirror's pair is this pair moved by the commuting lift ``S`` of
-        the conserved part ``l`` of ``theta^{-1}`` (``X(xi + l) = X(xi) + S``;
-        the closed loop is unchanged), so its obstructions are ``sol.X`` and
-        ``dual.X + M^{-1}``.  Next to those of the tilt, the ones holding the
-        positive ``M^{-1}`` never bind: the margin is that of
-        :meth:`sinf_margin` with ``M^{-1}`` dropped.
+        The mirror's pair is this pair moved by the commuting lift of the
+        conserved part of ``theta^{-1}``, so its obstructions are ``sol.X``
+        and ``dual.X + M^{-1}``; the ones holding ``M^{-1}`` never bind, and
+        the margin is that of :meth:`sinf_margin` without ``M^{-1}``.
         """
         return _shift_margin(geometry, self._pair[1].X, self._pair[0].X)
 
-    def hessian(self, frame: np.ndarray) -> np.ndarray:
-        """Hessian of g in the directions of the rows of ``frame``.
+    def _sensitivities(self, frame: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Moves ``A' = Q u Q*`` along the rows ``u`` of ``frame`` and the
+        changes ``X'`` of the pair (Kenney and Hewer, 1990; ``C' = Q u
+        (theta^{-1} - 2 xi) Q*``, the mirror's ``-A'``, ``C'``), kept for the
+        last frame asked for."""
+        if self.__dict__.get("_sens_frame") is not frame:
+            Q, slope = self.model.Q, self.model.theta_inv - 2.0 * self.section
+            A_u = np.array([(Q * u[None, :]) @ Q.T for u in frame])
+            C_u = [(Q * (u * slope)[None, :]) @ Q.T for u in frame]
+            self._sens_frame, self._sens = frame, (
+                A_u, np.array([self._pair[0].sensitivity(a, c) for a, c in zip(A_u, C_u)]),
+                np.array([self._pair[1].sensitivity(-a, c) for a, c in zip(A_u, C_u)]))
+        return self._sens
 
-        A tilt move ``u`` moves the Riccati blocks by ``A' = Q u Q*`` and
-        ``C' = Q u (theta^{-1} - 2 xi) Q*`` (the mirror's by ``-A'``, ``C'``);
-        with the sensitivities ``Y'_u`` of the gap,
+    def hessian(self, frame: np.ndarray) -> np.ndarray:
+        """Hessian of g in the directions of the rows of ``frame``: with the
+        :meth:`_sensitivities` ``Y'_u`` of the gap,
         ``H_uv = -tr(Sigma_u Y^{-1} Y'_v Y^{-1}) / 2``.
         """
         frame = np.atleast_2d(np.asarray(frame, dtype=float))
-        model, Q = self.model, self.model.Q
-        slope = model.theta_inv - 2.0 * self.section
         Y_inv = self._Y_inv
-        moves = []
-        for u in frame:
-            A_u = (Q * u[None, :]) @ Q.T
-            C_u = (Q * (u * slope)[None, :]) @ Q.T
-            dY = (self._pair[0].sensitivity(A_u, C_u)
-                  + model.theta_conj(self._pair[1].sensitivity(-A_u, C_u)))
-            moves.append(Y_inv @ dY @ Y_inv)
-        sigmas = np.einsum("kd,dij->kij", frame, flux_density_stack(model))
+        _, dX, dX_dual = self._sensitivities(frame)
+        moves = [Y_inv @ (d + self.model.theta_conj(e)) @ Y_inv for d, e in zip(dX, dX_dual)]
+        sigmas = np.einsum("kd,dij->kij", frame, flux_density_stack(self.model))
         H = -0.5 * np.einsum("aij,bij->ab", sigmas, np.array(moves))
         return 0.5 * (H + H.T)
 
@@ -566,32 +600,6 @@ def g_hessian_quadform(model: LinearModel, xi: np.ndarray,
 # section geometry
 
 
-def _ray_exit(member, lo: float, hi: float, tol: float,
-              grow: bool = True) -> float:
-    """Radius where ``member`` turns false along a ray, to within ``tol / 2``.
-
-    With ``grow``, ``hi`` doubles while it is still a member; then the
-    bracket ``[lo, hi]`` is bisected down to width ``tol`` and its midpoint
-    returned.  Convexity along the ray guarantees a single crossing.
-    """
-    # a bracket never narrows below one ulp, and a nan width ends nothing
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise SpecificationError(
-            f"bisection tolerance must be finite and positive, got {tol!r}")
-    while grow and member(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise ConvergenceError("bracket exhaustion along the ray")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def section_boundary(model: LinearModel, geometry: DomainGeometry,
                      u: np.ndarray) -> float:
     """Radius of the domain section from its center along a unit
@@ -608,42 +616,62 @@ def section_boundary(model: LinearModel, geometry: DomainGeometry,
 def _shift_margin(geometry: DomainGeometry, upper: np.ndarray,
                   lower: np.ndarray) -> float:
     """Largest ``lambda_min(upper - S) + lambda_min(lower + S)`` over the
-    conserved shifts ``S``.  Both obstructions commute with every lift, so
-    they are block diagonal on :attr:`DomainGeometry.shift_blocks`, on each
-    of which a shift is a scalar ``s_k``.  The sum is then
-    ``min_k (u_k - s_k) + min_k (l_k + s_k)``, ``u_k`` and ``l_k`` the
-    blocks' smallest eigenvalues: at most ``m = min_k (u_k + l_k)``, and
-    equal to it at the shift ``s_k = u_k - m / 2``.  With dim L = 1 the one
-    block is the whole space and the margin is the plain sum."""
+    conserved shifts ``S``.  Both commute with every lift, so a shift is a
+    scalar ``s_k`` on block ``k`` of :attr:`DomainGeometry.shift_blocks`,
+    and the sum is ``min_k (u_k - s_k) + min_k (l_k + s_k) <= m = min_k
+    (u_k + l_k)``, ``u_k`` and ``l_k`` the blocks' smallest eigenvalues,
+    with equality at ``s_k = u_k - m / 2``."""
     return min(float(np.linalg.eigvalsh(B.T @ upper @ B)[0])
                + float(np.linalg.eigvalsh(B.T @ lower @ B)[0])
                for B in geometry.shift_blocks)
 
 
+def _margin(state: TiltState, geometry: DomainGeometry) -> float | None:
+    """Finite-region margin of a state, ``None`` where a solve raises."""
+    try:
+        return state.sinf_margin(geometry)
+    except (RiccatiError, NumericalError):
+        return None
+
+
+def _region_exit(model: LinearModel, geometry: DomainGeometry,
+                 outer: TiltState) -> tuple[float, TiltState]:
+    """Exit ``t`` of the finite region along ``t ray``, ``0 <= t <= 1``, and
+    its state, ``ray`` the tilt of ``outer`` in the domain closure (``t =
+    1`` if its margin is not negative): the root of the concave margin,
+    positive at 0, by regula falsi with the Illinois fix, to the rounding
+    of ``t`` or the margin.  A failed solve counts as outside and is
+    bisected.  The inner end is returned, never outside the region."""
+    ray = outer.xi
+    f_hi = _margin(outer, geometry)
+    if f_hi is not None and f_hi >= 0.0:
+        return 1.0, outer
+    lo, hi, inner = 0.0, 1.0, TiltState(model, 0.0 * ray)
+    f_lo, side = _margin(inner, geometry), 0
+    floor = 1e-13 * f_lo
+    for _ in range(100):
+        secant = lo if f_hi is None else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        t = secant if lo < secant < hi else 0.5 * (lo + hi)
+        state = TiltState(model, t * ray)
+        f = _margin(state, geometry)
+        # Illinois: the value of an end kept twice in a row is halved
+        if f is None or f < 0.0:
+            hi, f_hi, f_lo, side = t, f, f_lo * (0.5 if side < 0 else 1.0), -1
+        elif f <= floor:
+            return t, state
+        else:
+            f_hi = f_hi * 0.5 if f_hi is not None and side > 0 else f_hi
+            lo, f_lo, inner, side = t, f, state, 1
+        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            break
+    return lo, inner
+
+
 def section_inf_boundary(model: LinearModel, geometry: DomainGeometry,
-                         u: np.ndarray, tol: float = 1e-6,
-                         bracket_hint: float | None = None) -> float:
-    """Exit radius of the finite region along a ray from the origin.
-
-    The origin always lies inside; concavity of the feasibility margin along
-    the ray gives a single sign change, located by bisection on
-    :meth:`TiltState.in_finite_region`.  A bracket hint (for example the
-    radius found along a nearby ray) shortcuts the bracket-growth phase.
-    A bisection that ends beyond the open domain returns the exact domain
-    radius ``1 / (1 - domain_margin(u))`` instead.
-    """
+                         u: np.ndarray) -> float:
+    """Exit radius of the finite region along a ray from the origin, the
+    :func:`_region_exit` within the exact :func:`_level_set` domain radius
+    (that radius where the region reaches the domain boundary)."""
     u = np.asarray(u, dtype=float)
-
-    def member(t: float) -> bool:
-        return TiltState(model, t * u).in_finite_region(geometry)
-
-    below, above = 0.95 * (bracket_hint or 0.0), 1.05 * (bracket_hint or 0.0)
-    if below <= 0.0:
-        r = _ray_exit(member, 0.0, 0.5, tol)
-    elif not member(below):
-        r = _ray_exit(member, 0.0, below, tol, grow=False)
-    elif not member(above):
-        r = _ray_exit(member, below, above, tol, grow=False)
-    else:
-        r = _ray_exit(member, above, 2.0 * above, tol)
-    return r if in_domain(model, r * u) else 1.0 / _level_set(model, u)
+    radius = 1.0 / _level_set(model, u)
+    return radius * _region_exit(model, geometry, TiltState(model, radius * u))[0]

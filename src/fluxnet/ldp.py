@@ -12,13 +12,13 @@ the rate function is a ruled surface.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .cgf import (DomainGeometry, TiltState, commuting_lift, section_boundary,
-                  section_inf_boundary)
+from .cgf import (DomainGeometry, TiltState, _region_exit, commuting_lift,
+                  section_boundary)
 from .errors import ConvergenceError, NumericalError, SpecificationError
 from .network import LinearModel
 from .solvers import steady_covariance
@@ -54,6 +54,11 @@ MIN_COS = 1e-2
 #: gradient
 STALL_STEPS = 5
 
+#: boundary-solve steps none of which brought the KKT residual a tenth below
+#: the best before them: stalled (where smallest eigenvalues of a block cross;
+#: far from the optimum it can rise and fall for more than five steps)
+KKT_WINDOW = 10
+
 
 @dataclass(eq=False)
 class RateResult:
@@ -64,8 +69,9 @@ class RateResult:
     false, the value is the supremum over the region's boundary and is
     flagged ``conjectural_global``.  ``grad_residual`` and ``iterations``
     describe the ascent on the open domain, also in the boundary regime,
-    where ``xi_star`` is the boundary tilt that attains the value.
-    ``anomaly`` is the fluctuation-relation defect
+    where ``xi_star`` is the boundary tilt that attains the value and
+    ``kkt_residual`` that of the boundary solve there (nan in the interior
+    regime).  ``anomaly`` is the fluctuation-relation defect
     ``I(phi) - I(-phi) - <theta^{-1}, phi>`` when requested.
     """
 
@@ -77,112 +83,78 @@ class RateResult:
     grad_residual: float
     iterations: int
     conjectural_global: bool
+    kkt_residual: float = float("nan")
     anomaly: float | None = None
 
 
-def _dir_from_angles(angles: np.ndarray, k: int) -> np.ndarray:
-    if k == 2:
-        return np.array([np.cos(angles[0]), np.sin(angles[0])])
-    az, pol = angles
-    return np.array([np.cos(pol),
-                     np.sin(pol) * np.cos(az),
-                     np.sin(pol) * np.sin(az)])
+def _qp_step(grad: np.ndarray, W: np.ndarray, margins: np.ndarray,
+             slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``d`` maximizing ``grad . d - d W d / 2``, ``W`` positive
+    definite, subject to ``m_k + G_k . d >= 0``, and its multipliers: the
+    closed form on the one active set feasible with multipliers ``>= 0``,
+    the least infeasible of all sets (the others miss by more than rounding)."""
+    count = len(margins)
+    solved = np.linalg.solve(W, np.column_stack([grad, slopes.T]))
+    best = None
+    for size in range(min(count, len(grad)) + 1):
+        for active in map(list, itertools.combinations(range(count), size)):
+            mu = np.zeros(count)
+            try:
+                mu[active] = np.linalg.solve(slopes[active] @ solved[:, 1:][:, active],
+                                             -margins[active] - slopes[active] @ solved[:, 0])
+            except np.linalg.LinAlgError:
+                continue
+            step = solved[:, 0] + solved[:, 1:] @ mu
+            key = (max(0.0, -mu.min(), -(margins + slopes @ step).min()),
+                   0.5 * step @ W @ step - grad @ step)
+            if best is None or key < best[0]:
+                best = (key, step, mu)
+    return best[1], best[2]
 
 
-#: rays of the finite-region boundary table on 2- and 3-dimensional
-#: sections (a 1-dimensional section has two)
-TABLE_RAYS_2D = 384
-TABLE_RAYS_3D = 512
-
-
-@dataclass(frozen=True, eq=False)
-class _BoundaryTable:
-    """Sampled boundary of the finite region: per ray from the origin, the
-    (angle) or (azimuth, polar) where the refinement starts, the boundary
-    tilt, its radius and its Riccati value of g."""
-
-    angles: np.ndarray
-    xi: np.ndarray
-    radius: np.ndarray
-    g: np.ndarray
-
-
-def _boundary_point(model: LinearModel, geometry: DomainGeometry,
-                    direction: np.ndarray, hint: float | None = None,
-                    tol: float = 1e-7) -> tuple[np.ndarray, float, float]:
-    u = geometry.from_frame(direction)
-    r = section_inf_boundary(model, geometry, u, tol=tol, bracket_hint=hint)
-    xi = r * u
-    return xi, r, TiltState(model, xi).g
-
-
-@lru_cache(maxsize=64)
-def _boundary_table(model: LinearModel,
-                    geometry: DomainGeometry) -> _BoundaryTable:
-    """Boundary table along the scan directions of :func:`_scan_directions`.
-
-    Radii are found by bisection with bracket hints chained from the
-    previous ray.  Models and geometries are hashed by identity, so the
-    table is built once per pair; the per-ray cost then amortizes over
-    every boundary-regime flux evaluation.
-    """
-    k = geometry.section_dim
-    dirs, polar = _scan_directions(k, TABLE_RAYS_3D if k == 3 else TABLE_RAYS_2D)
-    xi = np.empty((len(dirs), model.d))
-    radius = np.empty(len(dirs))
-    g = np.empty(len(dirs))
-    for idx, direction in enumerate(dirs):
-        hint = radius[idx - 1] if k == 2 and idx else None
-        xi[idx], radius[idx], g[idx] = _boundary_point(model, geometry, direction, hint)
-    return _BoundaryTable(angles=polar[:, :2], xi=xi, radius=radius, g=g)
-
-
-def _boundary_supremum(model: LinearModel, geometry: DomainGeometry,
-                       phi: np.ndarray) -> tuple[float, np.ndarray]:
-    """Supremum of the Legendre objective over the finite-region boundary."""
-    k = geometry.section_dim
-    table = _boundary_table(model, geometry)
-    values = table.xi @ phi - table.g
-    best = int(np.argmax(values))
-
-    def objective(angles: np.ndarray) -> tuple[float, np.ndarray]:
-        xi, _, g_val = _boundary_point(model, geometry, _dir_from_angles(angles, k),
-                                       table.radius[best])
-        return float(xi @ phi) - g_val, xi
-
-    if k == 1:
-        return float(values[best]), table.xi[best]
-
-    # imported here: it nearly doubles start-up, and 1-D sections never need it
-    import scipy.optimize
-
-    if k == 2:
-        a0 = table.angles[best][0]
-        span = 2.0 * np.pi / len(table.angles)
-        res = scipy.optimize.minimize_scalar(
-            lambda a: -objective(np.array([a]))[0],
-            bounds=(a0 - span, a0 + span),
-            method="bounded", options={"xatol": 1e-7})
-        angles = np.array([float(res.x)])
-    else:
-        angles = scipy.optimize.minimize(
-            lambda a: -objective(a)[0],
-            table.angles[best], method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 200}).x
-    value, xi = objective(angles)
-    if values[best] > value:
-        return float(values[best]), table.xi[best]
-    return value, xi
-
-
-def _fibonacci_angles(count: int) -> list[np.ndarray]:
-    golden = (1.0 + np.sqrt(5.0)) / 2.0
-    angles = []
-    for j in range(count):
-        z = 1.0 - 2.0 * (j + 0.5) / count
-        angles.append(np.array([(2.0 * np.pi * j / golden) % (2.0 * np.pi),
-                                np.arccos(z)]))
-    return angles
+def _boundary_solve(model: LinearModel, geometry: DomainGeometry,
+                    phi: np.ndarray, state: TiltState,
+                    gtol: float) -> tuple[float, TiltState, float]:
+    """Supremum of the Legendre objective over the finite region, the
+    convex program ``max xi . phi - g`` subject to every block margin
+    ``m_k >= 0``, by sequential quadratic programming from the ascent's end
+    point: the value, its state and the KKT residual ``|phi - grad g +
+    sum_k mu_k grad m_k|``.  Each :func:`_qp_step` takes the Hessian ``H_g
+    - sum_k mu_k m_k''`` with the multipliers of the step before.  A trial
+    off the open domain or losing value is shrunk, one outside the region
+    restored onto it along its ray from the origin (bracketed at itself):
+    every iterate is in the region, off the domain boundary, where the
+    gradient of g diverges."""
+    state = _region_exit(model, geometry, state)[1]
+    value = float(state.xi @ phi) - state.g
+    mu, history = np.zeros(geometry.dim_L), []
+    for _ in range(MAX_NEWTON):
+        grad = geometry.to_frame(phi - state.grad)
+        margins, slopes, curvatures = state.block_margins(geometry)
+        W = state.hessian(geometry.frame) - np.einsum("k,kab->ab", mu, curvatures)
+        delta, mu = _qp_step(grad, W, margins, slopes)
+        history.append(float(np.linalg.norm(grad + slopes.T @ mu)))
+        if history[-1] <= gtol * (1.0 + np.linalg.norm(phi)) or (
+                len(history) > KKT_WINDOW
+                and min(history[-KKT_WINDOW:]) > 0.9 * min(history[:-KKT_WINDOW])):
+            break
+        step = geometry.from_frame(delta)
+        for _ in range(40):
+            trial = TiltState(model, state.xi + step)
+            try:
+                if trial.in_D:
+                    trial = _region_exit(model, geometry, trial)[1]
+                    f_trial = float(trial.xi @ phi) - trial.g
+                    trial.grad      # a singular gap matrix shrinks the step
+                    if f_trial >= value - 1e-13 * (1.0 + abs(value)):
+                        value, state = f_trial, trial
+                        break
+            except NumericalError:
+                pass
+            step = SHRINK * step
+        else:
+            break
+    return value, state, history[-1]
 
 
 def rate_function(model: LinearModel, geometry: DomainGeometry,
@@ -194,7 +166,7 @@ def rate_function(model: LinearModel, geometry: DomainGeometry,
     backtracking, every trial checked against membership of the open
     domain, and tests the finite region once, at the stationary point
     ``xi*``.  If ``xi*`` lies outside the region, the supremum over the
-    region boundary is returned with ``interior=False``.  The ``-phi``
+    region (on its boundary) is returned with ``interior=False``.  The ``-phi``
     ascent of the anomaly starts at the mirror ``Pi(theta^{-1} - xi*)``,
     which is its stationary point because ``g(xi) = g(theta^{-1} - xi)``,
     and at the origin when the mirror is off the domain.
@@ -304,20 +276,13 @@ def _maximize(model: LinearModel, geometry: DomainGeometry,
     # the objective is strictly concave on the section, so an interior
     # maximizer over the finite region is the stationary point: one test
     # at the end point decides the regime
-    inside = state.in_finite_region(geometry)
-    if converged and inside:
-        return RateResult(phi=phi, I_value=f_c, xi_star=state.xi, interior=True,
-                          in_F0=state.f0_margin(geometry) > 0.0,
-                          grad_residual=float(np.linalg.norm(grad)),
-                          iterations=iterations, conjectural_global=False), state
-
-    value, xi_star = _boundary_supremum(model, geometry, phi)
-    if inside and f_c > value:
-        value, xi_star = f_c, state.xi
-    return RateResult(phi=phi, I_value=value, xi_star=xi_star,
-                      interior=False, in_F0=False,
-                      grad_residual=float(np.linalg.norm(grad)),
-                      iterations=iterations, conjectural_global=True), state
+    interior = converged and state.in_finite_region(geometry)
+    value, at, kkt = ((f_c, state, float("nan")) if interior
+                      else _boundary_solve(model, geometry, phi, state, gtol))
+    return RateResult(phi=phi, I_value=value, xi_star=at.xi, interior=interior,
+                      in_F0=interior and state.f0_margin(geometry) > 0.0,
+                      grad_residual=float(np.linalg.norm(grad)), iterations=iterations,
+                      conjectural_global=not interior, kkt_residual=kkt), state
 
 
 def fr_defect(model: LinearModel, geometry: DomainGeometry,
@@ -355,8 +320,16 @@ def _scan_directions(k: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray]:
         angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         return dirs, angles[:, None]
-    angles = _fibonacci_angles(n_dirs)
-    dirs = np.array([_dir_from_angles(a, 3) for a in angles])
+    if k > 3:
+        raise SpecificationError(
+            f"section scans need a section of dimension at most 3, not {k}")
+    # Fibonacci lattice on the sphere
+    golden = (1.0 + np.sqrt(5.0)) / 2.0
+    angles = [np.array([(2.0 * np.pi * j / golden) % (2.0 * np.pi),
+                        np.arccos(1.0 - 2.0 * (j + 0.5) / n_dirs)])
+              for j in range(n_dirs)]
+    dirs = np.array([[np.cos(pol), np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az)]
+                     for az, pol in angles])
     polar = np.array([
         [az, pol, pol / np.pi * np.cos(az), pol / np.pi * np.sin(az)]
         for az, pol in angles])

@@ -183,6 +183,11 @@ class RiccatiSolution:
         XA = self.X @ A_dot
         return sla.solve_continuous_lyapunov(self.D.T, -(XA + XA.T + C_dot))
 
+    def adjoint(self, V: np.ndarray) -> np.ndarray:
+        """``Z`` with ``D Z + Z D* = V``: ``tr(V X') = tr(Z R)`` for every
+        ``X'`` with ``D* X' + X' D = R`` (the adjoint of :meth:`sensitivity`)."""
+        return sla.solve_continuous_lyapunov(self.D, V)
+
 
 def _graph_pair(model: LinearModel, xi: np.ndarray, V_max: np.ndarray,
                 V_min: np.ndarray) -> tuple[RiccatiSolution, RiccatiSolution]:

@@ -232,7 +232,7 @@ def gap_arc_probe(model, geometry, angle, h=1e-5):
     from fluxnet.cgf import TiltState, section_inf_boundary
 
     u = geometry.from_frame(np.array([np.cos(angle), np.sin(angle)]))
-    r = section_inf_boundary(model, geometry, u, tol=1e-8)
+    r = section_inf_boundary(model, geometry, u)
     xi_b = r * u
     grad = np.array([
         (TiltState(model, xi_b + h * geometry.frame[j]).sinf_margin(geometry)

@@ -18,7 +18,7 @@ import pytest
 import fluxnet.simulate
 from fluxnet.cli import main
 
-from conftest import random_network_doc, three_dimers_doc
+from conftest import random_network_doc, three_dimers_doc, uncoupled_dimers_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "src" / "fluxnet" / "configs"
@@ -293,6 +293,39 @@ class TestSingleReservoir:
         code, out, err = run_cli([command[0], spec, *command[1:]], capsys)
         assert code == 2
         assert "flux section is zero-dimensional" in err
+        assert out == ""
+
+
+class TestFourDimers:
+    """Four uncoupled dimers: a four-dimensional section.  The rate grid
+    reaches the boundary regime, which needs no direction table; the
+    section scans have no directions for k >= 4 and exit with a typed
+    error naming k."""
+
+    @pytest.fixture(scope="class")
+    def spec(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("four_dimers") / "four_dimers.json"
+        path.write_text(json.dumps(uncoupled_dimers_doc(
+            (-0.3, -0.2, -0.25, -0.35),
+            ((1.0, 2.0), (1.5, 4.0), (1.2, 3.0), (2.0, 2.5)))))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["rate", "--grid", "2"],
+        ["simulate", "--traj", "64", "--T", "2"]])
+    def test_answers(self, spec, command, capsys):
+        code, out, err = run_cli([command[0], spec, *command[1:]], capsys)
+        assert code == 0, err
+        if command[0] == "rate":
+            rows = data_section(out)[1:]
+            assert len(rows) == 16
+            assert any(row.endswith(",true") for row in rows)
+
+    @pytest.mark.parametrize("command", [["gap-scan"], ["cgf"]])
+    def test_section_scans_exit_2(self, spec, command, capsys):
+        code, out, err = run_cli([command[0], spec], capsys)
+        assert code == 2
+        assert "section of dimension at most 3, not 4" in err
         assert out == ""
 
 

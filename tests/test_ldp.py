@@ -1,5 +1,6 @@
 """Rate function, fluctuation-relation diagnostics, entropy production."""
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from fluxnet import (
     SpecificationError,
     TiltState,
     assemble_model,
+    canonical_lift,
     condition_R_scan,
     conserved_direction,
     conserved_rate,
@@ -21,11 +23,18 @@ from fluxnet import (
     load_spec,
     parse_spec,
     rate_function,
+    section_inf_boundary,
     steady_covariance,
 )
 from fluxnet import cgf, ldp, solvers
+from fluxnet.cli import _phi_grid
 
-from conftest import dimer_1_64_doc, gap_arc_probe, two_dimers_doc
+from conftest import (
+    dimer_1_64_doc,
+    gap_arc_probe,
+    two_dimers_doc,
+    uncoupled_dimers_doc,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 
@@ -248,6 +257,94 @@ class TestRateFunction:
         assert res.interior and res.in_F0 and not res.conjectural_global
         assert np.linalg.norm(TiltState(m, res.xi_star).grad - phi) < 1e-6
         assert abs(res.anomaly) < 1e-9
+
+
+@lru_cache(maxsize=None)
+def _grid_boundary_rows(name):
+    """Model, geometry and the boundary-regime results of the ``rate --grid
+    3`` flux grid of a bundled config."""
+    m = assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+    geom = lineality_space(m)
+    rows = [rate_function(m, geom, geom.from_frame(c), with_anomaly=False)
+            for c in _phi_grid(m, geom, 3, None)]
+    return m, geom, [res for res in rows if res.conjectural_global]
+
+
+def _assert_kkt_point(m, geom, res):
+    """xi* lies in the closed finite region and satisfies the KKT
+    conditions of the boundary program."""
+    state = TiltState(m, res.xi_star)
+    margins = state.block_margins(geom)[0]
+    scale = 1.0 + max(np.abs(np.linalg.eigvalsh(P)).max() for P in
+                      (state.dual.X, state.sol.X + steady_covariance(m).Minv))
+    assert margins.min() >= -1e-12 * scale, (res.phi, margins)
+    assert res.kkt_residual <= 1e-7 * (1.0 + np.linalg.norm(res.phi)), res.phi
+    assert abs(res.I_value - (float(res.xi_star @ res.phi) - state.g)) <= 1e-12 * (
+        1.0 + abs(res.I_value))
+
+
+BOUNDARY_CONFIGS = ["lozenge_1_2_64", "triangular_1_2_64"]
+
+
+class TestBoundarySolve:
+    """The boundary regime as the convex program max xi . phi - g subject
+    to the block margins m_k >= 0, at the boundary rows of rate --grid 3."""
+
+    @pytest.mark.parametrize("name", BOUNDARY_CONFIGS)
+    def test_kkt_point_in_closed_region(self, name):
+        m, geom, rows = _grid_boundary_rows(name)
+        assert len(rows) == 3
+        for res in rows:
+            assert not res.interior and not res.in_F0
+            _assert_kkt_point(m, geom, res)
+
+    @pytest.mark.parametrize("name", BOUNDARY_CONFIGS)
+    def test_value_beats_nearby_exit_points(self, name):
+        # 81 exact finite-region exits in a window of +-0.02 rad around the
+        # direction of xi*; none beats the value of the solve
+        m, geom, rows = _grid_boundary_rows(name)
+        for res in rows:
+            x = geom.to_frame(res.xi_star)
+            best = -np.inf
+            for a in np.arctan2(x[1], x[0]) + np.linspace(-0.02, 0.02, 81):
+                u = geom.from_frame(np.array([np.cos(a), np.sin(a)]))
+                xi = section_inf_boundary(m, geom, u) * u
+                best = max(best, float(xi @ res.phi) - TiltState(m, xi).g)
+            assert res.I_value >= best - 1e-10, (res.phi, res.I_value - best)
+
+    @pytest.mark.parametrize("name", BOUNDARY_CONFIGS)
+    def test_values_reproduce_under_rounding_change(self, name, monkeypatch):
+        # g with its trace summed in the reverse order and moved by 1e-13
+        # relative, a few hundred ulps: the value at the optimum moves at
+        # second order in the moved point.  A direction table refined by a
+        # bracketing search moved by up to 2.6e-9 relative here.
+        m, geom, rows = _grid_boundary_rows(name)
+
+        def reordered(state):
+            lift = canonical_lift(state.model, state.section)
+            Q = state.model.Q
+            trace = np.diag(Q.T @ (state._pair[0].X - lift.xi_tilde) @ Q)[::-1].sum()
+            return -0.5 * float(trace) * (1.0 + 1e-13)
+
+        monkeypatch.setattr(TiltState, "g", property(reordered))
+        for res in rows:
+            again = rate_function(m, geom, res.phi, with_anomaly=False)
+            assert abs(again.I_value - res.I_value) <= 1e-10 * abs(res.I_value)
+
+    def test_four_dimer_boundary_rows_converge(self):
+        # a four-dimensional section with four block margins, whose optima
+        # can sit where several blocks bind at once
+        m = assemble_model(parse_spec(uncoupled_dimers_doc(
+            (-0.3, -0.2, -0.25, -0.35),
+            ((1.0, 2.0), (1.5, 4.0), (1.2, 3.0), (2.0, 2.5)))))
+        geom = lineality_space(m)
+        assert (geom.dim_L, geom.section_dim) == (4, 4)
+        rows = [rate_function(m, geom, sign * geom.from_frame(c), with_anomaly=False)
+                for c in _phi_grid(m, geom, 2, None) for sign in (1.0, -1.0)]
+        rows = [res for res in rows if res.conjectural_global]
+        assert len(rows) >= 8
+        for res in rows:
+            _assert_kkt_point(m, geom, res)
 
 
 class TestFrDefect:

@@ -1,11 +1,10 @@
 """Start-up imports: which scipy submodules a fluxnet process loads.
 
 ``scipy.optimize`` costs about as much to import as numpy and
-``scipy.linalg`` together, and one route calls it: the boundary refinement
-of the rate function on 2-D and 3-D sections (``ldp``), which criterion 10
-and ``test_ruled_surface_identity`` exercise.  These checks run in fresh
+``scipy.linalg`` together, and no route of fluxnet calls it, the boundary
+regime of the rate function included.  These checks run in fresh
 interpreters, because the test process itself has loaded ``scipy.optimize``
-already.
+already (the test suite's references use it).
 """
 
 import json
@@ -46,7 +45,8 @@ print(json.dumps({"codes": codes,
 
 
 def test_common_commands_never_load_scipy_optimize():
-    # the analytic workload's commands and a short simulation
+    # the analytic workload's commands, a rate grid with boundary-regime
+    # rows and a short simulation
     def config(name):
         return str(CONFIGS / f"{name}.json")
 
@@ -56,6 +56,7 @@ def test_common_commands_never_load_scipy_optimize():
         ["cgf", config("lozenge_1_2_4"), "--dirs", "4", "--radii", "3"],
         ["rate", config("lozenge_1_2_4"), "--grid", "3"],
         ["rate", config("heatpump_10_3.6_7_6.8"), "--grid", "2"],
+        ["rate", config("lozenge_1_2_64"), "--grid", "3"],
         ["simulate", config("lozenge_1_2_4"), "--traj", "64", "--T", "2"],
     ]
     seen = run_fresh(GUARD, json.dumps(argvs))
