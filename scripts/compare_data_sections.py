@@ -13,7 +13,9 @@ Only the lines that do not start with ``#`` are compared; the manifest
 above them (paths, hashes, wall clock) is ignored.  The two sections must
 have the same number of rows and, row by row, the same number of
 comma-separated fields.  A field that is not a finite number (a header
-name, ``true`` / ``false``, ``nan``, ``inf``) must be identical.  For the
+name, ``true`` / ``false``, ``nan``, ``inf``) must be identical.  A
+parenthesized, space-separated vector of finite numbers (the tilt labels
+of ``simulate``) is numeric, compared entry by entry.  For the
 numeric fields the largest difference ``|a - b| / max(|a|, |b|, 1)`` is
 reported: relative for magnitudes above 1 and absolute below, so entries
 that vanish in exact arithmetic (the anomaly of an interior point) are not
@@ -43,6 +45,16 @@ def finite(field: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def numbers(field: str) -> list[float] | None:
+    """The finite number of a field, or the entries of a ``(x y ...)``
+    vector of them; ``None`` for anything else."""
+    if field.startswith("(") and field.endswith(")"):
+        values = [finite(entry) for entry in field[1:-1].split()]
+        return values if values and None not in values else None
+    value = finite(field)
+    return None if value is None else [value]
+
+
 def compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> tuple[float, str]:
     """Largest numeric difference and where it is.
 
@@ -58,10 +70,10 @@ def compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> tuple[float, st
         for column, (a, b) in enumerate(zip(row_a, row_b)):
             if a == b:
                 continue
-            x, y = finite(a), finite(b)
-            if x is None or y is None:
+            xs, ys = numbers(a), numbers(b)
+            if xs is None or ys is None or len(xs) != len(ys):
                 raise ValueError(f"row {index}, field {column}: {a!r} against {b!r}")
-            diff = abs(x - y) / max(abs(x), abs(y), 1.0)
+            diff = max(abs(x - y) / max(abs(x), abs(y), 1.0) for x, y in zip(xs, ys))
             if diff > worst:
                 name = header[column] if column < len(header) else str(column)
                 worst, where = diff, f"row {index}, {name}: {a} against {b}"

@@ -37,6 +37,7 @@ from .solvers import (
     hamiltonian,
     integrate_frequency,
     invariant_pair,
+    noise_resolvent,
     steady_covariance,
 )
 
@@ -73,15 +74,9 @@ def E_matrix(model: LinearModel, xi: np.ndarray, omegas: np.ndarray) -> np.ndarr
     theta^{1/2}``, stacked over the frequencies; the result is linear in the
     tilt and independent of the choice of lift.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    # batched solves (A + i omega)^{-1} Q, shape (m, 2n, d)
-    eye = np.eye(model.dim)
-    stack = model.A[None, :, :] + 1j * omegas[:, None, None] * eye[None, :, :]
-    RQ = np.linalg.solve(stack, np.broadcast_to(model.Q, (len(omegas), *model.Q.shape)))
-    R = model.theta_inv[None, :, None] * (model.Q.T[None, :, :] @ RQ)
-    z = (np.asarray(xi, dtype=float) * model.theta)[None, :, None]
-    Rh = np.conjugate(np.swapaxes(R, 1, 2))
-    E = -(z * R + np.swapaxes(np.conjugate(z * R), 1, 2) + Rh @ (z * R))
+    R = model.theta_inv[None, :, None] * noise_resolvent(model, omegas)
+    zR = (np.asarray(xi, dtype=float) * model.theta)[None, :, None] * R
+    E = -(zR + np.swapaxes(np.conjugate(zR), 1, 2) + np.conjugate(np.swapaxes(R, 1, 2)) @ zR)
     return 0.5 * (E + np.conjugate(np.swapaxes(E, 1, 2)))
 
 
@@ -531,11 +526,11 @@ class TiltState:
         last frame asked for."""
         if self.__dict__.get("_sens_frame") is not frame:
             Q, slope = self.model.Q, self.model.theta_inv - 2.0 * self.section
-            A_u = np.array([(Q * u[None, :]) @ Q.T for u in frame])
-            C_u = [(Q * (u * slope)[None, :]) @ Q.T for u in frame]
+            A_u = (Q[None] * frame[:, None, :]) @ Q.T
+            C_u = (Q[None] * (frame * slope)[:, None, :]) @ Q.T
             self._sens_frame, self._sens = frame, (
-                A_u, np.array([self._pair[0].sensitivity(a, c) for a, c in zip(A_u, C_u)]),
-                np.array([self._pair[1].sensitivity(-a, c) for a, c in zip(A_u, C_u)]))
+                A_u, self._pair[0].sensitivity(A_u, C_u),
+                self._pair[1].sensitivity(-A_u, C_u))
         return self._sens
 
     def hessian(self, frame: np.ndarray) -> np.ndarray:
@@ -546,9 +541,9 @@ class TiltState:
         frame = np.atleast_2d(np.asarray(frame, dtype=float))
         Y_inv = self._Y_inv
         _, dX, dX_dual = self._sensitivities(frame)
-        moves = [Y_inv @ (d + self.model.theta_conj(e)) @ Y_inv for d, e in zip(dX, dX_dual)]
+        moves = Y_inv @ (dX + self.model.theta_conj(dX_dual)) @ Y_inv
         sigmas = np.einsum("kd,dij->kij", frame, flux_density_stack(self.model))
-        H = -0.5 * np.einsum("aij,bij->ab", sigmas, np.array(moves))
+        H = -0.5 * np.einsum("aij,bij->ab", sigmas, moves)
         return 0.5 * (H + H.T)
 
 

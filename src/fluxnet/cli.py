@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -340,7 +341,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so in-process callers of :func:`main` share it."""
     parser = argparse.ArgumentParser(
         prog="fluxnet",
         description="Steady-state heat-flux statistics of thermally driven "

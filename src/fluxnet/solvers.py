@@ -8,6 +8,11 @@ on the domain boundary), matrix exponentials and adaptive quadrature over
 the frequency axis.  Everything here is pure and reentrant; matrices stay
 at desk scale (at most 24 x 24).
 
+A matrix that is solved against many times is factored once: a Riccati
+solution keeps the real Schur form of its closed loop for all of its
+Lyapunov solves (Bartels and Stewart, 1972), and a model's drift has one
+complex Schur form for the resolvent at every frequency (Laub, 1981).
+
 The frequency quadrature takes a vectorized integrand and runs globally
 adaptive Gauss-Kronrod 21-point panels on the compactified line; each
 refinement sweep evaluates the nodes of every panel it adds in one call,
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsyl as _trsyl
 
 from .errors import NumericalError, QuadratureError, RiccatiError, StabilityError
 from .network import LinearModel
@@ -36,6 +42,7 @@ __all__ = [
     "RiccatiSolution",
     "solve_lyapunov",
     "steady_covariance",
+    "noise_resolvent",
     "hamiltonian",
     "invariant_pair",
     "riccati_pair",
@@ -100,6 +107,35 @@ def steady_covariance(model: LinearModel) -> SteadyState:
     return solve_lyapunov(model.A, model.B)
 
 
+@functools.lru_cache(maxsize=64)
+def _drift_schur(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complex Schur form ``A = Z T Z*`` of the drift, returned as ``T``,
+    ``Z* Q`` and ``Q* Z``; memoized per model like :func:`steady_covariance`."""
+    T, Z = sla.schur(model.A, output="complex")
+    parts = T, Z.conj().T @ model.Q, model.Q.T @ Z
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
+def noise_resolvent(model: LinearModel, omegas: np.ndarray) -> np.ndarray:
+    """``Q* (A + i omega)^{-1} Q`` at many frequencies, shape ``(N, d, d)``.
+
+    The drift is reduced once to its Schur form, so every frequency costs
+    one back substitution with ``T + i omega``, vectorized over the
+    frequencies (Laub, 1981)."""
+    T, ZQ, QZ = _drift_schur(model)
+    omegas = np.asarray(omegas, dtype=float)
+    m, n, d = model.dim, len(omegas), model.d
+    shifts = T.diagonal()[:, None] + 1j * omegas[None, :]
+    # row i of the solution at every node, contiguous for the row updates
+    Y = np.empty((m, n, d), dtype=complex)
+    rows = Y.reshape(m, n * d)
+    for i in range(m - 1, -1, -1):
+        Y[i] = (ZQ[i] - (T[i, i + 1:] @ rows[i + 1:]).reshape(n, d)) / shifts[i, :, None]
+    return (QZ @ rows).reshape(d, n, d).swapaxes(0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianData:
     """Doubled matrix of a tilt, its eigendecomposition and the mask of the
@@ -143,10 +179,12 @@ def hamiltonian(model: LinearModel, xi: np.ndarray) -> HamiltonianData:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on the doubled matrix: {exc}") from exc
     size = np.abs(eigs.real)
-    # ||K||_2 <= ||K||_F: the SVD decides only what the cheap bound cannot
-    axis = size <= AXIS_RTOL * np.linalg.norm(K)
-    if axis.any():
-        axis &= size <= AXIS_RTOL * np.linalg.norm(K, 2)
+    # the largest column norm <= ||K||_2 <= ||K||_F: the SVD decides only
+    # what neither cheap bound can
+    axis = size <= AXIS_RTOL * np.sqrt(np.einsum("ij,ij->j", K, K).max())
+    undecided = ~axis & (size <= AXIS_RTOL * np.linalg.norm(K))
+    if undecided.any():
+        axis |= undecided & (size <= AXIS_RTOL * np.linalg.norm(K, 2))
     return HamiltonianData(xi=np.asarray(xi, dtype=float), K=K, eigenvalues=eigs,
                            eigenvectors=vecs, on_axis=axis)
 
@@ -176,17 +214,37 @@ class RiccatiSolution:
         R = X @ self.model.B @ X - X @ A_xi - A_xi.T @ X - C_xi
         return float(np.linalg.norm(R, 2))
 
+    @functools.cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real Schur form ``D = Z T Z*``, shared by every Lyapunov solve."""
+        return sla.schur(self.D, output="real")
+
+    def _lyapunov(self, rhs: np.ndarray, trana: str, tranb: str) -> np.ndarray:
+        """Bartels-Stewart on the cached Schur form, one triangular
+        Sylvester solve per matrix of the stack ``rhs``."""
+        T, Z = self._schur
+        Y = Z.T @ rhs @ Z
+        for j in np.ndindex(Y.shape[:-2]):
+            Y[j], scale, info = _trsyl(T, T, Y[j], trana=trana, tranb=tranb)
+            if info != 0:
+                raise NumericalError(
+                    "closed-loop Lyapunov equation is singular: D has eigenvalues "
+                    f"whose sum is (nearly) zero (trsyl info {info})")
+            Y[j] /= scale
+        return Z @ Y @ Z.T
+
     def sensitivity(self, A_dot: np.ndarray, C_dot: np.ndarray) -> np.ndarray:
         """First-order change of ``X`` when ``A_xi``, ``C_xi`` move by
         ``A_dot``, ``C_dot``: ``D* X' + X' D = -(X A_dot + A_dot* X + C_dot)``
-        (Kenney and Hewer, 1990)."""
+        (Kenney and Hewer, 1990).  Takes stacks of moves along leading
+        axes."""
         XA = self.X @ A_dot
-        return sla.solve_continuous_lyapunov(self.D.T, -(XA + XA.T + C_dot))
+        return self._lyapunov(-(XA + np.swapaxes(XA, -1, -2) + C_dot), "T", "N")
 
     def adjoint(self, V: np.ndarray) -> np.ndarray:
         """``Z`` with ``D Z + Z D* = V``: ``tr(V X') = tr(Z R)`` for every
         ``X'`` with ``D* X' + X' D = R`` (the adjoint of :meth:`sensitivity`)."""
-        return sla.solve_continuous_lyapunov(self.D, V)
+        return self._lyapunov(np.asarray(V, dtype=float), "N", "T")
 
 
 def _graph_pair(model: LinearModel, xi: np.ndarray, V_max: np.ndarray,

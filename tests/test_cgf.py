@@ -54,8 +54,19 @@ from conftest import (
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "fluxnet" / "configs"
 CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
 NETWORKS = CONFIG_NAMES + ["dimer_1_64", "two_dimers"]
+
+
+def critical_oscillator_doc():
+    """One critically damped oscillator, gamma = 2 kappa: its drift is a
+    2 x 2 Jordan block."""
+    doc = single_oscillator_doc()
+    doc["boundary"][0]["gamma"] = 2.0
+    return doc
+
+
 DOCS = {"dimer_1_64": dimer_1_64_doc, "two_dimers": two_dimers_doc,
-        "single_oscillator": single_oscillator_doc, "heatpump": heatpump_doc}
+        "single_oscillator": single_oscillator_doc, "heatpump": heatpump_doc,
+        "critical_oscillator": critical_oscillator_doc}
 
 
 def _network(name, stiffness=1.0):
@@ -116,6 +127,24 @@ class TestResponseMatrix:
                 E = E_matrix(m, m.theta_inv, [w])[0]
                 det = np.linalg.det(np.eye(m.d) - E)
                 assert abs(det - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES + ["critical_oscillator"])
+    def test_matches_per_node_solves(self, name):
+        """The Schur-form resolvent against one LU solve of ``A + i omega``
+        per frequency, at zero, the drift resonances and seeded nodes."""
+        m = _network(name)
+        rng = np.random.default_rng(4)
+        omegas = np.concatenate([[0.0], np.abs(m.spectrum.imag),
+                                 m.omega_scale * np.tan(rng.uniform(-1.5, 1.5, 64))])
+        xi = rng.uniform(size=m.d) * m.theta_inv
+        eye = np.eye(m.dim)
+        QRQ = np.stack([m.Q.T @ np.linalg.solve(m.A + 1j * w * eye, m.Q) for w in omegas])
+        R = m.theta_inv[:, None] * QRQ
+        zR = (xi * m.theta)[:, None] * R
+        E = -(zR + np.conjugate(np.swapaxes(zR, 1, 2)) + np.conjugate(np.swapaxes(R, 1, 2)) @ zR)
+        resolvent = solvers.noise_resolvent(m, omegas)
+        assert np.abs(resolvent - QRQ).max() <= 1e-12 * np.abs(QRQ).max()
+        assert np.abs(E_matrix(m, xi, omegas) - E).max() <= 1e-12 * max(1.0, np.abs(E).max())
 
     def test_high_frequency_decay(self, lozenge_124):
         rng = np.random.default_rng(3)

@@ -41,6 +41,13 @@ class TestCompareDataSections:
         # below magnitude 1 the difference is absolute
         assert compare("1e-14,1.0,true\n", "-2e-14,1.0,true\n", "--rtol", "1e-13") == 0
 
+    def test_vector_fields_compare_entrywise(self, compare, capsys):
+        rows = "(0.5 -0.25),2.0,true\n", "(0.5 -0.2500001),2.0,true\n"
+        assert compare(*rows) == 1
+        assert compare(*rows, "--rtol", "1e-6") == 0
+        assert "row 1, phi" in capsys.readouterr().out
+        assert compare("(0.5 -0.25),2.0,true\n", "(0.5),2.0,true\n", "--rtol", "1") == 1
+
     @pytest.mark.parametrize("rows_b", [
         "0.5,2.0,false\n",           # a boolean column differs
         "0.5,2.0\n",                 # a field is missing

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +25,15 @@ from fluxnet import (
     solve_lyapunov,
     steady_covariance,
 )
-from fluxnet import cgf
-from fluxnet.cgf import E_matrix, TiltState, _g_integral, in_domain
-from fluxnet.solvers import MAX_PANELS, _gk21_panels, tilted_blocks
+from fluxnet import cgf, cli, solvers
+from fluxnet.cgf import E_matrix, TiltState, _g_integral, _level_set, in_domain, lineality_space
+from fluxnet.solvers import (
+    AXIS_RTOL,
+    MAX_PANELS,
+    RiccatiSolution,
+    _gk21_panels,
+    tilted_blocks,
+)
 
 from conftest import lozenge_doc, random_network_doc, random_tilt_in_D0
 
@@ -230,6 +237,120 @@ class TestRiccati:
         # far outside the domain the doubled matrix has axis eigenvalues
         with pytest.raises(RiccatiError):
             riccati_pair(m, 50.0 * np.ones(3) * m.theta_inv)[0]
+
+
+def _config(name):
+    return assemble_model(load_spec(str(CONFIGS / f"{name}.json")))
+
+
+def _radius_tilts(model, rng, count):
+    """Seeded unit section directions with their exact domain radii."""
+    geom = lineality_space(model)
+    for _ in range(count):
+        u = geom.from_frame(rng.normal(size=geom.section_dim))
+        u /= np.linalg.norm(u)
+        yield u, 1.0 / _level_set(model, u)
+
+
+class TestSchurKernels:
+    """The Lyapunov solves of a Riccati solution share one Schur form of
+    its closed loop; they must agree with scipy's solver, which factors
+    afresh on every call."""
+
+    @pytest.mark.parametrize("name", [
+        "lozenge_1_2_4", "heatpump_40_3.6_7_6.8", "triangular_1_2_64"])
+    def test_sensitivity_and_adjoint_match_scipy(self, name):
+        m = _config(name)
+        rng = np.random.default_rng(11)
+        for u, radius in _radius_tilts(m, rng, 3):
+            for t in (0.5, 0.999):
+                for sol in TiltState(m, t * radius * u)._pair:
+                    A_dot = rng.normal(size=(3, m.dim, m.dim))
+                    C_dot = rng.normal(size=(3, m.dim, m.dim))
+                    C_dot += np.swapaxes(C_dot, 1, 2)
+                    for a, c, dX in zip(A_dot, C_dot, sol.sensitivity(A_dot, C_dot)):
+                        XA = sol.X @ a
+                        ref = scipy.linalg.solve_continuous_lyapunov(sol.D.T, -(XA + XA.T + c))
+                        assert np.linalg.norm(dX - ref) <= 1e-12 * np.linalg.norm(ref)
+                    V = rng.normal(size=(m.dim, m.dim))
+                    ref = scipy.linalg.solve_continuous_lyapunov(sol.D, V)
+                    assert np.linalg.norm(sol.adjoint(V) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_singular_closed_loop_raises(self, lozenge_124):
+        # A + A* = -Q theta^{-1} Q*, so at theta^{-1} / 2 the tilted drift is
+        # skew: with X = 0 the closed loop has its spectrum on the axis
+        m = lozenge_124
+        sol = RiccatiSolution(model=m, xi=0.5 * m.theta_inv, X=np.zeros((m.dim, m.dim)))
+        with pytest.raises(NumericalError, match="singular"):
+            sol.sensitivity(np.eye(m.dim), np.eye(m.dim))
+        with pytest.raises(NumericalError, match="singular"):
+            sol.adjoint(np.eye(m.dim))
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_axis_mask_is_the_two_norm_test(self, name):
+        # at the exact domain radius and just beyond it, where the cheap
+        # bounds of hamiltonian decide
+        m = _config(name)
+        for u, radius in _radius_tilts(m, np.random.default_rng(12), 2):
+            for t in (1.0, 1.0 + 1e-6):
+                ham = hamiltonian(m, t * radius * u)
+                expected = np.abs(ham.eigenvalues.real) <= AXIS_RTOL * np.linalg.norm(ham.K, 2)
+                np.testing.assert_array_equal(ham.on_axis, expected)
+            assert ham.on_axis.any()
+
+    def test_one_schur_per_matrix(self, monkeypatch, capsys):
+        """``rate --grid 3`` (interior on lozenge 1:2:4, with boundary-regime
+        rows on lozenge 1:2:64, whose solutions also take adjoint solves)
+        and a ``cgf`` scan factor each matrix once: no Lyapunov solve
+        outside the steady covariance, one Schur form per Riccati solution
+        whose Lyapunov solves are read and one of the drift per model."""
+        schur_args, outside, solutions, models = [], [], [], []
+        steady = [False]
+
+        def counted_schur(a, *args, **kwargs):
+            schur_args.append(a)
+            return schur(a, *args, **kwargs)
+
+        def counted_lyapunov(*args, **kwargs):
+            outside.append(not steady[0])
+            return lyapunov(*args, **kwargs)
+
+        def flagged_steady(*args):
+            steady[0] = True
+            try:
+                return solve_lyapunov(*args)
+            finally:
+                steady[0] = False
+
+        def recorded_lyapunov(sol, *args):
+            solutions.append(sol)
+            return riccati_lyapunov(sol, *args)
+
+        def recorded_drift(model):
+            models.append(model)
+            return drift_schur(model)
+
+        schur, lyapunov = scipy.linalg.schur, scipy.linalg.solve_continuous_lyapunov
+        solve_lyapunov, drift_schur = solvers.solve_lyapunov, solvers._drift_schur
+        riccati_lyapunov = RiccatiSolution._lyapunov
+        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted_lyapunov)
+        monkeypatch.setattr(solvers, "solve_lyapunov", flagged_steady)
+        monkeypatch.setattr(solvers, "_drift_schur", recorded_drift)
+        monkeypatch.setattr(RiccatiSolution, "_lyapunov", recorded_lyapunov)
+        spec = str(CONFIGS / "lozenge_1_2_4.json")
+        assert cli.main(["rate", spec, "--grid", "3"]) == 0
+        assert cli.main(["rate", str(CONFIGS / "lozenge_1_2_64.json"), "--grid", "3"]) == 0
+        assert cli.main(["cgf", spec, "--dirs", "4", "--radii", "3"]) == 0
+        capsys.readouterr()
+
+        assert outside and not any(outside)
+        drifts = {id(model.A) for model in models}
+        closed_loops = {id(sol.D) for sol in solutions}
+        assert drifts and len(models) > 10
+        assert len(solutions) > len(closed_loops) > 10
+        factored = [id(a) for a in schur_args]
+        assert sorted(factored) == sorted(drifts | closed_loops)
 
 
 class TestMatrixExponential:
