@@ -350,13 +350,13 @@ class TiltState:
     and kept: a caller that builds one state per tilt decomposes one doubled
     matrix, that of the ``section`` component ``Pi xi`` (g, its derivatives
     and the margins do not change along conserved directions, which only
-    grow ``K``).  Its eigenvalues give ``in_D`` and ``g_spectral``, the pair
-    of :func:`invariant_pair` g, its gradient and Hessian and the
-    finite-region and F0 margins; on the domain boundary, where
-    :func:`invariant_pair` raises, the same decomposition gives the pair of
-    :func:`boundary_pair`.  ``sol`` and ``dual``, which Lambda+- read, are
-    the pair moved to the tilt and its mirror by ``+-S_l``, the commuting
-    lift of the conserved part ``l``.
+    grow ``K``), to real Schur form.  Its eigenvalues give ``in_D`` and
+    ``g_spectral``, two reorderings the pair of :func:`invariant_pair` (g,
+    its gradient and Hessian and the finite-region and F0 margins); on the
+    domain boundary, where :func:`invariant_pair` raises, the same Schur
+    form gives the pair of :func:`boundary_pair`.  ``sol`` and ``dual``,
+    which Lambda+- read, are the pair moved to the tilt and its mirror by
+    ``+-S_l``, the commuting lift of the conserved part ``l``.
     """
 
     def __init__(self, model: LinearModel, xi: np.ndarray):

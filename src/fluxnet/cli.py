@@ -231,7 +231,10 @@ def cmd_rate(args) -> int:
     for c, res in zip(coords, results):
         rows.append([*c, *res.phi, res.I_value, res.anomaly, res.interior,
                      res.in_F0, res.conjectural_global])
-    _emit(args, manifest, columns, rows)
+    residuals = [res.kkt_residual for res in results if res.conjectural_global]
+    _emit(args, manifest, columns, rows, footer={
+        "conjectural_rows": len(residuals),
+        "max_kkt_residual": max(residuals, default=float("nan"))})
     return 0
 
 

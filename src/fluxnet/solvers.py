@@ -1,16 +1,16 @@
 """Dense matrix kernels.
 
 Lyapunov solves for the stationary covariance, the doubled-dimension
-Hamiltonian matrix attached to a tilt with its eigendecomposition, the
-maximal Riccati solutions at a tilt and at its mirror read off the
-invariant subspaces of that one decomposition (completed by null vectors
-on the domain boundary), matrix exponentials and adaptive quadrature over
-the frequency axis.  Everything here is pure and reentrant; matrices stay
-at desk scale (at most 24 x 24).
+Hamiltonian matrix attached to a tilt, the maximal Riccati solutions at a
+tilt and at its mirror read off its invariant subspaces (completed by null
+vectors on the domain boundary), matrix exponentials and adaptive
+quadrature over the frequency axis.  Everything here is pure and
+reentrant; matrices stay at desk scale (at most 24 x 24).
 
-A matrix that is solved against many times is factored once: a Riccati
-solution keeps the real Schur form of its closed loop for all of its
-Lyapunov solves (Bartels and Stewart, 1972), and a model's drift has one
+A matrix that is solved against many times is factored once: the doubled
+matrix of a tilt has one real Schur form for both Riccati solutions
+(Laub, 1979), a Riccati solution one of its closed loop for all of its
+Lyapunov solves (Bartels and Stewart, 1972), and a model's drift one
 complex Schur form for the resolvent at every frequency (Laub, 1981).
 
 The frequency quadrature takes a vectorized integrand and runs globally
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsyl as _trsyl
+from scipy.linalg.lapack import dgees, dtrsen, dtrsyl
 
 from .errors import NumericalError, QuadratureError, RiccatiError, StabilityError
 from .network import LinearModel
@@ -138,13 +138,13 @@ def noise_resolvent(model: LinearModel, omegas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianData:
-    """Doubled matrix of a tilt, its eigendecomposition and the mask of the
-    eigenvalues on the imaginary axis in the sense of ``AXIS_RTOL``."""
+    """Doubled matrix of a tilt, its real Schur form ``(T, Z)``, ``K = Z T Z*``,
+    its eigenvalues and the mask of those on the axis by ``AXIS_RTOL``."""
 
     xi: np.ndarray
     K: np.ndarray
+    schur: tuple[np.ndarray, np.ndarray]
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     on_axis: np.ndarray
 
 
@@ -168,25 +168,36 @@ def _doubled(model: LinearModel, A_xi: np.ndarray, C_xi: np.ndarray) -> np.ndarr
 
 
 def hamiltonian(model: LinearModel, xi: np.ndarray) -> HamiltonianData:
-    """Assemble the doubled matrix of a tilt and decompose it.
+    """Assemble the doubled matrix of a tilt and reduce it to real Schur form.
 
     The spectrum is symmetric with respect to both the real and the
     imaginary axis.
     """
     K = _doubled(model, *tilted_blocks(model, xi))
-    try:
-        eigs, vecs = np.linalg.eig(K)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on the doubled matrix: {exc}") from exc
-    size = np.abs(eigs.real)
+    if not np.isfinite(K).all():
+        raise NumericalError("doubled matrix is not finite")
+    T, _, wr, wi, Z, _, info = dgees(lambda re, im: False, K)
+    if info != 0:
+        raise NumericalError(f"Schur form of the doubled matrix failed (gees info {info})")
+    size = np.abs(wr)
     # the largest column norm <= ||K||_2 <= ||K||_F: the SVD decides only
     # what neither cheap bound can
     axis = size <= AXIS_RTOL * np.sqrt(np.einsum("ij,ij->j", K, K).max())
     undecided = ~axis & (size <= AXIS_RTOL * np.linalg.norm(K))
     if undecided.any():
         axis |= undecided & (size <= AXIS_RTOL * np.linalg.norm(K, 2))
-    return HamiltonianData(xi=np.asarray(xi, dtype=float), K=K, eigenvalues=eigs,
-                           eigenvectors=vecs, on_axis=axis)
+    return HamiltonianData(xi=np.asarray(xi, dtype=float), K=K, schur=(T, Z),
+                           eigenvalues=wr + 1j * wi, on_axis=axis)
+
+
+def _half_basis(ham: HamiltonianData, side: float) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of the off-axis eigenvalues
+    with ``side * Re > 0``: ``dtrsen`` moves them to the top of ``T``."""
+    select = (side * ham.eigenvalues.real > 0.0) & ~ham.on_axis
+    _, Z, _, _, count, _, _, info = dtrsen(select, *ham.schur, job="N")
+    if info != 0:
+        raise RiccatiError(f"Schur reordering of the doubled matrix failed (trsen info {info})")
+    return Z[:, :count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +236,7 @@ class RiccatiSolution:
         T, Z = self._schur
         Y = Z.T @ rhs @ Z
         for j in np.ndindex(Y.shape[:-2]):
-            Y[j], scale, info = _trsyl(T, T, Y[j], trana=trana, tranb=tranb)
+            Y[j], scale, info = dtrsyl(T, T, Y[j], trana=trana, tranb=tranb)
             if info != 0:
                 raise NumericalError(
                     "closed-loop Lyapunov equation is singular: D has eigenvalues "
@@ -270,28 +281,27 @@ def _graph_pair(model: LinearModel, xi: np.ndarray, V_max: np.ndarray,
 def invariant_pair(model: LinearModel,
                    ham: HamiltonianData) -> tuple[RiccatiSolution, RiccatiSolution]:
     """Maximal Riccati solutions at a tilt and at its mirror
-    ``theta^{-1} - xi`` from the eigenvectors of the tilt's doubled matrix
-    (Potter, 1966): the antistable ones ``[V1; V2]`` span the graph of the
-    maximal solution ``X = Re(V2 V1^{-1})``, whose closed loop ``A_xi - B X``
-    carries the stable half of the spectrum, the stable ones that of the
-    minimal solution ``X_min``, and ``-theta X_min theta`` is maximal at the
-    mirror.
+    ``theta^{-1} - xi`` from the one real Schur form of the tilt's doubled
+    matrix (Laub, 1979): reordered with the antistable eigenvalues first, its
+    leading ``m`` Schur vectors ``[V1; V2]`` span the graph of the maximal
+    solution ``X = V2 V1^{-1}``, whose closed loop ``A_xi - B X`` carries the
+    stable half of the spectrum; reordered with the stable ones first, they
+    span that of the minimal solution ``X_min``, and ``-theta X_min theta``
+    is maximal at the mirror.
 
     Raises
     ------
     RiccatiError
         If eigenvalues lie on the imaginary axis (the tilt is on or
-        outside the domain boundary), the antistable subspace has
-        the wrong dimension, or a graph condition fails.
+        outside the domain boundary), the reordering fails, the antistable
+        subspace has the wrong dimension, or a graph condition fails.
     """
     if ham.on_axis.any():
         raise RiccatiError(
             "doubled matrix has imaginary-axis eigenvalues "
             f"(|Re| = {np.abs(ham.eigenvalues.real).min():.2e}); "
             "tilt is on or outside the domain boundary")
-    anti = ham.eigenvalues.real > 0.0
-    return _graph_pair(model, ham.xi, ham.eigenvectors[:, anti],
-                       ham.eigenvectors[:, ~anti])
+    return _graph_pair(model, ham.xi, _half_basis(ham, 1.0), _half_basis(ham, -1.0))
 
 
 def riccati_pair(model: LinearModel,
@@ -310,8 +320,7 @@ def boundary_pair(model: LinearModel,
     mean of a pair of axis eigenvalues; a pair split by more than
     ``sqrt(AXIS_RTOL) ||K||_2`` (a tilt about ``AXIS_RTOL`` beyond the
     boundary) raises ``RiccatiError``, as do null vectors that complete no
-    ``m``-column graph.  The subspaces come from ordered real Schur forms,
-    which stay accurate where antistable eigenvalues nearly coincide.
+    ``m``-column graph.  The subspaces are reordered without the axis ones.
     """
     K, near = ham.K, np.sort(ham.eigenvalues[ham.on_axis].imag)
     norm = np.linalg.norm(K, 2)
@@ -321,15 +330,8 @@ def boundary_pair(model: LinearModel,
                            f"(frequencies {near}); tilt is not on the domain boundary")
     nulls = [np.linalg.svd(K - 1j * c.mean() * np.eye(len(K)))[2][-1].conj()
              for c in clusters]
-    bases = []
-    for side in (1.0, -1.0):
-        try:
-            # hamiltonian's axis cut, so that no axis eigenvalue is sorted in
-            _, Z, count = sla.schur(K, sort=lambda re, im: side * re > AXIS_RTOL * norm)
-        except np.linalg.LinAlgError as exc:
-            raise RiccatiError(f"ordered Schur form failed: {exc}") from exc
-        bases.append(np.column_stack([Z[:, :count], *nulls]))
-    return _graph_pair(model, ham.xi, *bases)
+    return _graph_pair(model, ham.xi, *(np.column_stack([_half_basis(ham, side), *nulls])
+                                        for side in (1.0, -1.0)))
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:

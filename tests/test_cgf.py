@@ -372,6 +372,14 @@ class TestGValue:
                 for val in (res.g_integral, res.g_spectral, res.g):
                     assert abs(val) < 1e-8
 
+    @pytest.mark.parametrize("xi", [
+        (np.nan, 0.1, 0.2), (np.inf, 0.1, 0.2), (1e300, 0.0, 0.0)])
+    def test_non_finite_tilt_is_typed_error(self, lozenge_124, xi):
+        # LAPACK's Schur routine does not reject nan or inf entries of the
+        # doubled matrix itself; at 1e300 the tilted blocks overflow
+        with pytest.raises(NumericalError):
+            TiltState(lozenge_124, np.array(xi)).in_D
+
     def test_three_way_agreement(self, lozenge_124, heatpump):
         rng = np.random.default_rng(6)
         for m in (lozenge_124, heatpump):
@@ -543,6 +551,7 @@ class TestDerivatives:
 
         monkeypatch.setattr(cgf, "hamiltonian", counted)
         monkeypatch.setattr(solvers, "hamiltonian", counted)
+        eigs, schurs = _record_factorizations(monkeypatch)
         geom = lozenge_124_geometry
         xi = np.array([0.2, 0.3, 0.1])
         state = g_value(lozenge_124, xi)
@@ -554,6 +563,10 @@ class TestDerivatives:
         assert len(tilts) == 1
         np.testing.assert_allclose(tilts[0], geom.project(xi), atol=1e-15)
         assert state.margin > 0.0
+        # the pair reorders the one Schur form of K; only the closed loops
+        # of the Hessian are factored again
+        assert eigs == [] and schurs
+        assert all(len(a) != 2 * lozenge_124.dim for a in schurs)
 
     def test_boundary_state_makes_one_decomposition(self, lozenge_124,
                                                     lozenge_124_geometry,
@@ -570,6 +583,7 @@ class TestDerivatives:
 
         monkeypatch.setattr(cgf, "hamiltonian", counted)
         monkeypatch.setattr(solvers, "hamiltonian", counted)
+        eigs, schurs = _record_factorizations(monkeypatch)
         for xi, minus, plus in zip(scan.xi_boundary, scan.Lambda_minus,
                                    scan.Lambda_plus):
             tilts.clear()
@@ -578,6 +592,8 @@ class TestDerivatives:
             assert not state.in_D
             assert len(tilts) == 1
             assert lam.minus == minus and lam.plus == plus
+        assert eigs == []
+        assert all(len(a) != 2 * m.dim for a in schurs)
 
     def test_no_lift_at_section_points(self, heatpump, heatpump_geometry):
         # the heat-pump scan tilts carry a conserved part of about 2^-53,
@@ -605,6 +621,25 @@ class TestDerivatives:
                         <= 1e-12 * np.linalg.norm(ref)), (xi, tilt)
 
 
+def _record_factorizations(monkeypatch):
+    """Record the matrices passed to ``np.linalg.eig`` and
+    ``scipy.linalg.schur`` from now on."""
+    eig, schur = np.linalg.eig, scipy.linalg.schur
+    eigs, schurs = [], []
+
+    def counted_eig(a, *args, **kwargs):
+        eigs.append(a)
+        return eig(a, *args, **kwargs)
+
+    def counted_schur(a, *args, **kwargs):
+        schurs.append(a)
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    return eigs, schurs
+
+
 def _scan_rays(geometry, count):
     """Unit directions of the gap scan, as tilts."""
     return [geometry.from_frame(dc)
@@ -630,6 +665,20 @@ class TestBoundaryPair:
                 scale = (np.linalg.norm(C_xi, 2) + 2.0 * np.linalg.norm(A_xi, 2) * x
                          + np.linalg.norm(m.B, 2) * x * x)
                 assert sol.residual <= 1e-13 * scale, (u, sol.residual, scale)
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_pair_accurate_next_to_boundary(self, name):
+        # at (1 - 1e-10) t* antistable eigenvalues of K nearly coincide on
+        # the triangular networks, where an eigenvector basis loses the
+        # subspace; the reordered Schur bases solve both equations to
+        # rounding
+        m = _network(name)
+        geom = lineality_space(m)
+        for u in _scan_rays(geom, 16):
+            r = section_boundary(m, geom, u)
+            for sol in TiltState(m, geom.center + (1.0 - 1e-10) * r * u)._pair:
+                scaled = sol.residual / (1.0 + np.abs(sol.X).max() ** 2)
+                assert scaled <= 1e-13, (u, scaled)
 
     @pytest.mark.parametrize("name", [
         "dimer_1_64", "lozenge_1_2_4", "triangular_1_2_64"])

@@ -346,6 +346,28 @@ class TestRate:
         assert all(v >= -1e-12 for v in i_values)
         center = values[len(values) // 2]
         assert abs(float(center[delta_col])) < 1e-6
+        foot = footer(out)
+        assert foot["conjectural_rows"] == "0" and foot["max_kkt_residual"] == "nan"
+
+    def test_footer_reports_boundary_regime(self, capsys):
+        # two rows of the dimer's grid lie beyond the gradient image
+        args = ["rate", str(ROOT / "perfbench" / "networks" / "dimer_1_64.json"),
+                "--grid", "5", "--extent", "20"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        rows = data_section(out)
+        header = rows[0].split(",")
+        phis = [j for j, name in enumerate(header) if name.startswith("phi_")
+                and not name.startswith("phi_c")]
+        conjectural = [r.split(",") for r in rows[1:] if r.endswith(",true")]
+        phi_norm = max(np.linalg.norm([float(r[j]) for j in phis]) for r in conjectural)
+        foot = footer(out)
+        assert foot["conjectural_rows"] == str(len(conjectural)) == "2"
+        assert float(foot["max_kkt_residual"]) <= 1e-7 * (1.0 + phi_norm)
+        code, out, _ = run_cli(args + ["--json"], capsys)
+        doc = json.loads(out)
+        assert doc["footer"]["conjectural_rows"] == 2
+        assert doc["footer"]["max_kkt_residual"] == float(foot["max_kkt_residual"])
 
 
     @pytest.mark.parametrize("grid", ["-1", "0", "1"])
